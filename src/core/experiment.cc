@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include "common/logging.hh"
-#include "obs/hooks.hh"
 #include "sim/simulator.hh"
 
 namespace arl::core
@@ -131,24 +130,8 @@ Experiment::timingStudy(const ooo::MachineConfig &config,
                         InstCount warmup_window) const
 {
     ooo::OooCore core(config, prog, std::move(step_source));
-    if (hooks)
-        core.attachObs(hooks);
-    if (warmup_insts)
-        core.warmup(warmup_insts, warmup_window);
-    // Sampling (re)starts here so the baseline reflects the
-    // post-warmup state and the frozen name set includes every stat
-    // the core just registered.
-    if (hooks)
-        hooks->restartSampling();
-    TimingResult result = core.run(max_insts);
-    // The registry's live entries point into `core`, which dies at
-    // return; flush the trailing partial sampling interval, then
-    // freeze the values so reports stay valid.
-    if (hooks) {
-        hooks->finishSampling(result.instructions);
-        hooks->finalize();
-    }
-    return result;
+    core.attachObs(hooks);
+    return core.measure(warmup_insts, warmup_window, max_insts);
 }
 
 arl::sweep::SweepResult

@@ -103,14 +103,16 @@ class Experiment
                                   InstCount max_insts = 0);
 
     /**
-     * Run the §4 timing methodology for one machine configuration.
+     * Run the §4 timing methodology for one machine configuration:
+     * one OooCore::measure(), the routine every sweep timing point
+     * runs.
      *
      * @param warmup_insts functional fast-forward before timing.
      * @param max_insts timed instruction budget (0 = to completion).
      * @param hooks optional observability context: the core registers
-     *        its stats into @p hooks->registry, (re)starts interval
-     *        sampling after warmup, and emits pipeline-trace events
-     *        when the hooks carry a tracer.
+     *        its stats into @p hooks->registry, arms interval
+     *        sampling after warmup, emits pipeline-trace events when
+     *        the hooks carry a tracer, and finalizes the snapshot.
      * @param step_source optional committed-stream source (e.g. a
      *        trace::ReplaySource); null embeds a live functional
      *        simulator.  Timing is bit-identical either way.

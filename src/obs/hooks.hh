@@ -6,8 +6,11 @@
  *
  * Lifecycle: construct → components register stats (attachObs /
  * registerStats) → startSampling() freezes the sampled name set →
- * run (core calls tick() per commit and tracer events) → serialize
- * via obs::Report.
+ * run (core calls tick() per commit and tracer events) →
+ * finishSampling() and finalize() while the components are alive →
+ * serialize via obs::Report.  OooCore::measure() runs the middle of
+ * that sequence (start sampling after warmup, run, flush, finalize)
+ * for every timing point, so one Hooks serves exactly one run.
  */
 
 #ifndef ARL_OBS_HOOKS_HH
@@ -61,9 +64,6 @@ struct Hooks
      */
     void startSampling();
 
-    /** Reset the sampler (new run over the same registrations). */
-    void restartSampling();
-
     /**
      * Open @p path and attach a PipeTracer writing to it.
      * @param max_events event cap (0 = unlimited).
@@ -114,7 +114,7 @@ struct Hooks
      * are still alive.  Live counter/gauge/formula entries point into
      * the components that registered them, so a snapshot taken after
      * those objects are destroyed reads freed memory; call this at
-     * the end of the run (Experiment::timingStudy does) and
+     * the end of the run (OooCore::measure does) and
      * RunRecord::fromHooks will use the captured values.
      */
     void finalize() { finalSnapshot = registry.snapshot(); finalized = true; }

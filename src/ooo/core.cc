@@ -1178,6 +1178,22 @@ OooCore::runSample(InstCount insts, InstCount detail_warmup)
 }
 
 OooStats
+OooCore::measure(InstCount warmup_insts, InstCount warm_last,
+                 InstCount timed)
+{
+    if (warmup_insts)
+        warmup(warmup_insts, warm_last);
+    if (obsHooks)
+        obsHooks->startSampling();
+    OooStats result = run(timed);
+    if (obsHooks) {
+        obsHooks->finishSampling(result.instructions);
+        obsHooks->finalize();
+    }
+    return result;
+}
+
+OooStats
 OooCore::run(InstCount max_insts)
 {
     dispatchBudget =

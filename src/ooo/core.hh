@@ -228,6 +228,20 @@ class OooCore
     OooStats runSample(InstCount insts, InstCount detail_warmup = 0);
 
     /**
+     * Measure one timing point, the §4 methodology end to end:
+     * warmup(@p warmup_insts, @p warm_last), then arm the attached
+     * hooks' interval sampler (after warmup, so the baseline is the
+     * post-warmup state and the sampled name set holds every stat
+     * attachObs() registered), run(@p timed), flush the sampler's
+     * final partial interval and finalize the hooks' snapshot while
+     * this core is still alive.  Seeking the step source before the
+     * call is the caller's business: pass only the warmup left after
+     * the seek.
+     */
+    OooStats measure(InstCount warmup_insts, InstCount warm_last,
+                     InstCount timed);
+
+    /**
      * Attach an observability context: registers every stat of this
      * core (and its caches, TLB, and ARPT) into @p hooks->registry
      * under the ooo. / cache. / predict. hierarchies, and enables

@@ -453,9 +453,13 @@ runSweep(const SweepSpec &spec)
         const WorkloadSpec &w = spec.workloads[wi];
         auto trace_handle = prep[wi].trace;
 
-        if (job < timing_jobs && tjobs[job].rep == TimingJob::Exact) {
+        if (job < timing_jobs && tjobs[job].rep < 0) {
+            // An exact point, or a sampled point's verify pass: the
+            // same measurement, so the measured error compares the
+            // estimate against exactly the number it replaces.
             const TimingJob &tj = tjobs[job];
-            obs::ProfScope prof("sweep/simulate",
+            const bool exact = tj.rep == TimingJob::Exact;
+            obs::ProfScope prof(exact ? "sweep/simulate" : "sweep/verify",
                                 obs::ProfScope::Mode::Absolute);
             ooo::MachineConfig config = spec.configs[tj.ci];
             if (spec.cpiStack)
@@ -482,7 +486,15 @@ runSweep(const SweepSpec &spec)
                 }
             }
             ooo::OooCore core(config, prep[wi].program, source);
-            obs::Hooks hooks;
+            // The grid's first point runs on the caller's hooks, so
+            // its already-opened trace sinks see exactly one run.
+            obs::Hooks own_hooks;
+            obs::Hooks &hooks =
+                exact && tj.wi == 0 && tj.ci == 0 && spec.firstPointHooks
+                    ? *spec.firstPointHooks
+                    : own_hooks;
+            if (exact)
+                hooks.intervalEvery = spec.intervalEvery;
             core.attachObs(&hooks);
             std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
@@ -491,29 +503,35 @@ runSweep(const SweepSpec &spec)
                     total = trace_handle->size() - w.warmup;
                 tscope = std::make_unique<obs::TelemetryScope>(
                     spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(TimingJob::Exact),
-                    total);
+                    config.name, static_cast<int>(tj.rep), total);
                 tscope->start();
                 hooks.telemetry = tscope.get();
                 if (job == 0 && testStallMs())
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(testStallMs()));
             }
-            if (w.warmup)
-                core.warmup(w.warmup - ff_skip, window);
-            TimingPoint point;
-            point.workload = w.name;
-            point.config = config.name;
-            point.stats = core.run(w.timed);
+            ooo::OooStats stats =
+                core.measure(w.warmup - ff_skip, window, w.timed);
             if (tscope)
-                tscope->done(point.stats.instructions,
-                             point.stats.cycles);
-            hooks.finalize();
-            point.snapshot = std::move(hooks.finalSnapshot);
-            prof.addGuestInsts(w.warmup - ff_skip +
-                               point.stats.instructions);
-            prof.addGuestCycles(point.stats.cycles);
-            result.timing[tj.wi * nc + tj.ci] = std::move(point);
+                tscope->done(stats.instructions, stats.cycles);
+            // The scope dies with this job; the caller's hooks do not.
+            hooks.telemetry = nullptr;
+            hooks.finishChromeTrace(w.name + " " + config.name);
+            prof.addGuestInsts(w.warmup - ff_skip + stats.instructions);
+            prof.addGuestCycles(stats.cycles);
+            if (exact) {
+                obs::RunRecord record =
+                    obs::RunRecord::fromHooks(w.name, config.name, hooks);
+                TimingPoint &point = result.timing[tj.wi * nc + tj.ci];
+                point.workload = w.name;
+                point.config = config.name;
+                point.stats = stats;
+                point.snapshot = std::move(record.stats);
+                point.intervals = std::move(record.intervals);
+            } else {
+                verify_meas[tj.slot] = {stats.cycles,
+                                        stats.instructions};
+            }
         } else if (job < timing_jobs && tjobs[job].rep >= 0) {
             // One phase representative: seek to the warmup window,
             // warm functionally, then time only the interval.
@@ -563,43 +581,6 @@ runSweep(const SweepSpec &spec)
             rep_snaps[tj.slot] = std::move(hooks.finalSnapshot);
             prof.addGuestInsts(rep.start - rep.warmupStart +
                                stats.instructions);
-            prof.addGuestCycles(stats.cycles);
-        } else if (job < timing_jobs) {
-            // Verify: the exact flow an unsampled timing point runs
-            // (functional warmup, then the full timed window), so
-            // the measured error compares the estimate against the
-            // number the sampled run replaces.
-            const TimingJob &tj = tjobs[job];
-            obs::ProfScope prof("sweep/verify",
-                                obs::ProfScope::Mode::Absolute);
-            ooo::MachineConfig config = spec.configs[tj.ci];
-            if (spec.cpiStack)
-                config.cpiStack = true;
-            auto source =
-                std::make_shared<trace::ReplaySource>(trace_handle);
-            ooo::OooCore core(config, prep[wi].program, source);
-            obs::Hooks hooks;
-            core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            if (spec.telemetry) {
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(TimingJob::Verify),
-                    w.timed);
-                tscope->start();
-                hooks.telemetry = tscope.get();
-            }
-            InstCount window = w.warmup;
-            if (w.warmupWindow && w.warmupWindow < window)
-                window = w.warmupWindow;
-            if (w.warmup)
-                core.warmup(w.warmup, window);
-            ooo::OooStats stats = core.run(w.timed);
-            if (tscope)
-                tscope->done(stats.instructions, stats.cycles);
-            verify_meas[tj.slot] = {stats.cycles,
-                                    stats.instructions};
-            prof.addGuestInsts(w.warmup + stats.instructions);
             prof.addGuestCycles(stats.cycles);
         } else {
             obs::ProfScope prof("sweep/regionstudy",
@@ -775,6 +756,7 @@ SweepResult::toReport(const std::string &command) const
         record.workload = point.workload;
         record.config = point.config;
         record.stats = point.snapshot;
+        record.intervals = point.intervals;
         record.sampling = point.sampling;
         report.runs.push_back(std::move(record));
     }

@@ -145,8 +145,8 @@ struct SweepSpec
      * population per point is the timed window after the workload's
      * warmup prefix — exactly the records an unsampled timing point
      * measures — so estimates are comparable with full-run goldens,
-     * and a verify run repeats the unsampled flow (functional
-     * warmup, then the timed window) for the measured error.
+     * and a verify run measures the point exactly as an unsampled
+     * sweep does (OooCore::measure) for the measured error.
      * Deterministic and byte-identical across --jobs values, like
      * the exact path.
      */
@@ -177,6 +177,21 @@ struct SweepSpec
     obs::TelemetryChannel *telemetry = nullptr;
     /** Watchdog stall threshold in seconds (0 = no watchdog). */
     double telemetryStallSec = 30.0;
+    /**
+     * Interval-sampling period in committed instructions for every
+     * exact timing point (0 = off).  Each point's rows land in
+     * TimingPoint::intervals and toReport() emits them as the run's
+     * "intervals" section.  Phase-sampled sweeps ignore it.
+     */
+    std::uint64_t intervalEvery = 0;
+    /**
+     * Observability context the grid's first timing point (workload
+     * 0, config 0) runs on instead of a fresh one — non-owning; the
+     * caller opens its pipetrace, Chrome-trace and interval-stream
+     * sinks beforehand and owns them afterwards.  Exact sweeps only;
+     * null = no sinks.
+     */
+    obs::Hooks *firstPointHooks = nullptr;
 };
 
 /** Result of one timing grid point. */
@@ -187,6 +202,8 @@ struct TimingPoint
     ooo::OooStats stats;
     /** Frozen per-job registry (the --stats-json record body). */
     obs::StatsRegistry::Snapshot snapshot;
+    /** Interval rows (SweepSpec::intervalEvery; every == 0 = off). */
+    obs::IntervalReport intervals;
     /** Phase-sampling audit trail (enabled only in sampled mode). */
     obs::SamplingReport sampling;
 };

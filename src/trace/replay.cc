@@ -68,17 +68,10 @@ std::uint64_t
 saveTrace(const std::string &path, const InMemoryTrace &t,
           TraceFormat format)
 {
-    obs::ProfScope prof("encode");
-    const auto block_records = static_cast<std::uint32_t>(
-        t.checkpointEvery ? t.checkpointEvery : DefaultBlockRecords);
-    TraceWriter writer(path, t.program, format, block_records);
-    for (const ArchCheckpoint &cp : t.checkpoints)
-        writer.addCheckpoint(cp);
-    writer.setComplete(t.complete);
-    for (const TraceRecord &record : t.records)
-        writer.appendRecord(record);
-    writer.close();
-    return writer.bytesWritten();
+    std::uint64_t bytes = 0;
+    if (!trySaveTrace(path, t, format, bytes))
+        fatal("trace: cannot write '%s'", path.c_str());
+    return bytes;
 }
 
 bool

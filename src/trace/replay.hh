@@ -96,9 +96,10 @@ recordToMemory(std::shared_ptr<const vm::Program> program,
                InstCount checkpoint_every = DefaultBlockRecords);
 
 /**
- * Write @p t to @p path in the ARLT format (fatal on I/O errors).
- * V2 persists t.checkpoints in the footer index, using
- * t.checkpointEvery as the block size so boundaries coincide.
+ * Write @p t to @p path in the ARLT format: trySaveTrace(), but
+ * fatal on I/O errors.  V2 persists t.checkpoints in the footer
+ * index, using t.checkpointEvery as the block size so boundaries
+ * coincide.
  * @return bytes written.
  */
 std::uint64_t saveTrace(const std::string &path, const InMemoryTrace &t,

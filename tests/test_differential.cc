@@ -17,7 +17,10 @@
  *     byte-identically, with v2 entries at least 4x smaller;
  *  6. checkpointed fast-forward (SweepSpec::seekFastForward) is
  *     byte-identical to functional fast-forward given the same
- *     warmup window, while actually skipping records.
+ *     warmup window, while actually skipping records;
+ *  7. a live Experiment::timingStudy and the sweep's replayed point
+ *     (both OooCore::measure) report the same stats and the same
+ *     interval rows, with and without seek-ff.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "obs/hooks.hh"
 #include "obs/report.hh"
 #include "ooo/config.hh"
 #include "ooo/core.hh"
@@ -349,4 +353,44 @@ TEST(Differential, SeekFastForwardIdenticalToFunctional)
     // Sanity on the skip arithmetic: every timing job's skip lands
     // on a checkpoint boundary at or below warmup - window.
     EXPECT_EQ(warm_seek.seekSkippedRecords % kEvery, 0u);
+}
+
+TEST(Differential, TimingStudyMatchesSweepPointIntervals)
+{
+    constexpr InstCount kEvery = 1024;
+    constexpr InstCount kWindow = 2048;
+    sweep::SweepSpec spec = fig8SmallSpec();
+    spec.intervalEvery = 5000;
+    spec.checkpointEvery = kEvery;
+    for (auto &w : spec.workloads)
+        w.warmupWindow = kWindow;
+    sweep::SweepResult functional = sweep::runSweep(spec);
+    spec.seekFastForward = true;
+    sweep::SweepResult seeking = sweep::runSweep(spec);
+    EXPECT_GT(seeking.seekSkippedRecords, 0u);
+    EXPECT_EQ(reportJson(seeking), reportJson(functional));
+
+    // The live facade's records, in the sweep's workload-major
+    // order, serialize exactly like the sweep's timing runs.
+    obs::Report live;
+    live.command = "sweep";
+    for (const sweep::WorkloadSpec &w : spec.workloads) {
+        core::Experiment experiment(workloads::buildWorkload(w.name, 1));
+        for (const ooo::MachineConfig &config : spec.configs) {
+            obs::Hooks hooks;
+            hooks.intervalEvery = spec.intervalEvery;
+            experiment.timingStudy(config, w.warmup, w.timed, &hooks,
+                                   nullptr, w.warmupWindow);
+            live.runs.push_back(
+                obs::RunRecord::fromHooks(w.name, config.name, hooks));
+        }
+    }
+    obs::Report swept = functional.toReport();
+    swept.runs.pop_back();  // the grid summary
+    for (const obs::RunRecord &run : swept.runs)
+        EXPECT_EQ(run.intervals.every, spec.intervalEvery);
+    std::ostringstream live_json, swept_json;
+    live.writeJson(live_json);
+    swept.writeJson(swept_json);
+    EXPECT_EQ(live_json.str(), swept_json.str());
 }

@@ -23,7 +23,8 @@
  *       [--insts N] [--all-configs] [--scale N] [--no-vp] [--no-ff]
  *       [--warmup-window N] [--cpi-stack] [--workload-dir DIR]
  *       [contention flags]
- *       The paper's §4 timing methodology (warmup + timed window).
+ *       The paper's §4 timing methodology (warmup + timed window),
+ *       run as a one-workload sweep: each config is one timing point.
  *       --warmup-window warms microarchitectural state only from the
  *       last N fast-forward instructions (0 = all).  --cpi-stack
  *       forces per-cycle stall attribution (ooo.cpi_stack.*) on
@@ -113,14 +114,17 @@
  *                         so piped output is machine-clean even
  *                         without --quiet)
  *   --interval <N>        sample all stats every N instructions
- *                         (recorded in the JSON "intervals" section)
+ *                         (recorded in the JSON "intervals" section;
+ *                         time and sweep sample every timing point)
  *   --interval-stream <file>  stream sampled rows to a CSV file as
  *                         they are captured instead of holding them
  *                         in memory (needs --interval; the report's
  *                         "intervals" section is then omitted)
- *   --pipetrace <file>    pipeline event trace (time only)
+ *   --pipetrace <file>    pipeline event trace (time and sweep: the
+ *                         first timing point)
  *   --pipetrace-max <N>   cap trace at N events (0 = unlimited)
- *   --chrome-trace <file> Chrome Trace Event timeline (time only)
+ *   --chrome-trace <file> Chrome Trace Event timeline (time and
+ *                         sweep: the first timing point)
  *   --chrome-trace-max <N> cap at N instruction spans (0 = unlimited)
  *   --quiet               suppress info/warn output AND the human
  *                         tables/headers, so piped --stats-csv -
@@ -448,11 +452,10 @@ openTelemetry(const ObsOptions &opts, const char *command, int *rc)
 }
 
 /**
- * Open --interval-stream and attach it to the armed sampler so rows
+ * Open --interval-stream and attach it to @p hooks' sampler so rows
  * go to disk as they are captured (O(1) memory) instead of into the
- * report's "intervals" section.  Call after Hooks::startSampling();
- * the returned stream must outlive the run.  Sets @p rc to 2 when
- * the file cannot be opened.
+ * report's "intervals" section.  The returned stream must outlive
+ * the run.  Sets @p rc to 2 when the file cannot be opened.
  */
 std::unique_ptr<std::ofstream>
 openIntervalStream(const ObsOptions &opts, obs::Hooks &hooks, int *rc)
@@ -469,7 +472,8 @@ openIntervalStream(const ObsOptions &opts, obs::Hooks &hooks, int *rc)
         return nullptr;
     }
     // Attach to the live sampler when one is armed already; either
-    // way record the sink so every later (re)start re-attaches.
+    // way record the sink so a sampler armed later (after a timing
+    // point's warmup) attaches it.
     hooks.intervalStream = stream.get();
     if (hooks.sampler)
         hooks.sampler->setStream(stream.get());
@@ -922,6 +926,121 @@ printSampledTable(const std::vector<sweep::TimingPoint> &points)
     }
 }
 
+/**
+ * Hand the --interval period and the already-opened --pipetrace,
+ * --chrome-trace and --interval-stream sinks to @p spec (time and
+ * sweep): every exact timing point samples intervals, and the sinks
+ * see the grid's first point, which runs on @p hooks.  The sinks
+ * cannot apply to a sampled grid or one without timing configs, so
+ * asking for them there is a usage error.  @p interval_stream must
+ * outlive the sweep.
+ * @return 0, 1 on a usage error or an unopenable trace file, 2 on an
+ *         unopenable interval stream.
+ */
+int
+attachTimingSinks(const ObsOptions &opts, sweep::SweepSpec &spec,
+                  obs::Hooks &hooks,
+                  std::unique_ptr<std::ofstream> &interval_stream)
+{
+    const char *flag = !opts.tracePath.empty()    ? "--pipetrace"
+                       : !opts.chromePath.empty() ? "--chrome-trace"
+                       : opts.interval            ? "--interval"
+                                                  : nullptr;
+    if (!flag)
+        return 0;
+    if (spec.sampling || spec.configs.empty()) {
+        std::fprintf(stderr, "arl_sim: %s needs exact timing points "
+                             "(not --sampling, not --configs none)\n",
+                     flag);
+        return 1;
+    }
+    if (!opts.tracePath.empty() &&
+        !hooks.openTrace(opts.tracePath, opts.traceMax))
+        return 1;
+    if (!opts.chromePath.empty() &&
+        !hooks.openChromeTrace(opts.chromePath, opts.chromeMax))
+        return 1;
+    int rc = 0;
+    interval_stream = openIntervalStream(opts, hooks, &rc);
+    if (rc)
+        return rc;
+    if ((hooks.tracing() || interval_stream) &&
+        spec.workloads.size() * spec.configs.size() > 1)
+        warn("trace and interval-stream sinks record only the first "
+             "timing point (%s %s)", spec.workloads[0].name.c_str(),
+             spec.configs[0].name.c_str());
+    spec.intervalEvery = opts.interval;
+    spec.firstPointHooks = &hooks;
+    return 0;
+}
+
+/** A registry workload as a sweep row with its registry warmup. */
+sweep::WorkloadSpec
+registryRow(const std::string &name, unsigned scale, InstCount timed)
+{
+    const auto &info = workloads::workloadByName(name);
+    sweep::WorkloadSpec w;
+    w.name = info.name;
+    w.scale = scale;
+    w.warmup = info.warmupInsts;
+    w.timed = timed;
+    return w;
+}
+
+/** Close a --telemetry stream with the sweep's total guest work. */
+void
+emitFinalTelemetry(obs::TelemetryChannel *telemetry,
+                   const sweep::SweepResult &result)
+{
+    if (!telemetry)
+        return;
+    std::uint64_t total = 0;
+    for (const auto &point : result.timing)
+        total += point.stats.instructions;
+    for (const auto &point : result.region)
+        total += point.instructions;
+    telemetry->emitFinal(total);
+}
+
+/** `time`'s human output: one row (or --verbose dump) per config. */
+void
+printTimeTable(const std::vector<sweep::TimingPoint> &points,
+               bool sampled, bool verbose)
+{
+    if (sampled) {
+        std::printf("%-12s %12s %6s\n", "config", "cycles(est)", "IPC");
+        for (const auto &point : points)
+            std::printf("%-12s %12llu %6.2f\n", point.config.c_str(),
+                        (unsigned long long)point.stats.cycles,
+                        point.stats.ipc());
+        printSampledTable(points);
+        return;
+    }
+    if (verbose) {
+        for (const auto &point : points)
+            std::printf("%s\n", point.stats.dump().c_str());
+        return;
+    }
+    std::printf("%-12s %10s %6s %8s %8s %8s\n", "config", "cycles",
+                "IPC", "LVAQ%", "regmis", "fwd");
+    for (const auto &point : points) {
+        const ooo::OooStats &stats = point.stats;
+        double mem_ops = static_cast<double>(stats.loads + stats.stores);
+        std::printf("%-12s %10llu %6.2f %7.1f%% %8llu %8llu\n",
+                    stats.configName.c_str(),
+                    (unsigned long long)stats.cycles, stats.ipc(),
+                    mem_ops ? 100.0 * stats.lvaqSteered / mem_ops : 0.0,
+                    (unsigned long long)stats.regionMispredictions,
+                    (unsigned long long)stats.forwardedLoads);
+    }
+}
+
+/**
+ * `time`: a one-workload sweep.  The row comes from the registry or,
+ * with --workload-dir, from the corpus by file stem; every config is
+ * one timing point of that row, measured by the engine exactly like
+ * a `sweep` point, sampled or not.
+ */
 int
 cmdTime(const std::string &target, Args &args)
 {
@@ -941,214 +1060,81 @@ cmdTime(const std::string &target, Args &args)
                     kTelemetryFlags.end());
     args.parse(accepted);
     ObsOptions opts = ObsOptions::parse(args);
-    unsigned scale = static_cast<unsigned>(args.flagInt("scale", 1));
-    // With --workload-dir the target is resolved inside the corpus
-    // (by file stem) instead of the compiled-in registry; the
-    // manifest supplies the warmup prefix.
+    InstCount timed =
+        static_cast<InstCount>(args.flagInt("insts", 400000));
+
+    sweep::SweepSpec spec;
     std::string workload_dir = args.flag("workload-dir", "");
-    std::shared_ptr<const vm::Program> program;
-    std::string source_path;
-    InstCount workload_warmup = 0;
-    if (!workload_dir.empty()) {
-        std::vector<corpus::Entry> entries;
+    if (workload_dir.empty()) {
+        spec.workloads.push_back(registryRow(
+            target, static_cast<unsigned>(args.flagInt("scale", 1)),
+            timed));
+    } else {
+        std::vector<sweep::WorkloadSpec> rows;
         std::string error;
-        if (!corpus::discoverCorpus(workload_dir, entries, &error)) {
+        if (!corpus::corpusWorkloadSpecs(workload_dir, timed, rows,
+                                         &error)) {
             std::fprintf(stderr, "arl_sim: %s\n", error.c_str());
             return 1;
         }
-        const corpus::Entry *found = nullptr;
-        for (const corpus::Entry &entry : entries)
-            if (entry.name == target)
-                found = &entry;
-        if (!found) {
+        for (sweep::WorkloadSpec &w : rows)
+            if (w.name == target)
+                spec.workloads.push_back(std::move(w));
+        if (spec.workloads.empty()) {
             std::fprintf(stderr,
                          "arl_sim: no workload '%s' in corpus '%s'\n",
                          target.c_str(), workload_dir.c_str());
             return 1;
         }
-        program = corpus::assembleEntry(*found, &error);
-        if (!program) {
-            std::fprintf(stderr, "arl_sim: %s\n", error.c_str());
-            return 1;
-        }
-        source_path = found->sourcePath;
-        workload_warmup = found->manifest.warmupInsts;
-    } else {
-        const auto &info = workloads::workloadByName(target);
-        program = info.build(scale);
-        workload_warmup = info.warmupInsts;
     }
-    core::Experiment experiment(program);
-    InstCount timed =
-        static_cast<InstCount>(args.flagInt("insts", 400000));
-    auto warmup_window =
+    spec.workloads[0].warmupWindow =
         static_cast<InstCount>(args.flagInt("warmup-window", 0));
 
-    std::vector<ooo::MachineConfig> configs;
     if (args.has("all-configs")) {
-        configs = ooo::MachineConfig::figure8Suite();
+        spec.configs = ooo::MachineConfig::figure8Suite();
     } else {
-        std::string spec = args.flag("config", "(2+0)");
+        std::string config = args.flag("config", "(2+0)");
         unsigned n = 2, m = 0;
-        if (std::sscanf(spec.c_str(), "(%u+%u)", &n, &m) != 2) {
+        if (std::sscanf(config.c_str(), "(%u+%u)", &n, &m) != 2) {
             std::fprintf(stderr,
                          "arl_sim: bad --config '%s' (want \"(N+M)\")\n",
-                         spec.c_str());
+                         config.c_str());
             return 1;
         }
-        configs.push_back(ooo::MachineConfig::nPlusM(
+        spec.configs.push_back(ooo::MachineConfig::nPlusM(
             n, m, static_cast<unsigned>(args.flagInt("l1-lat", 2))));
     }
     ooo::ContentionKnobs knobs = parseContentionKnobs(args);
-    for (auto &config : configs) {
+    for (auto &config : spec.configs) {
         if (args.has("no-vp"))
             config.valuePrediction = false;
         if (args.has("no-ff"))
             config.fastForwarding = false;
-        if (args.has("cpi-stack"))
-            config.cpiStack = true;
         config.applyContention(knobs);
     }
-
-    // Phase-sampled timing is routed through the sweep engine (it
-    // owns the representative scheduling and the deterministic
-    // merge); a single-workload grid keeps the CLI surface the same.
-    sweep::SweepSpec sampling_spec;
-    if (int rc = parseSamplingFlags(args, sampling_spec))
+    spec.cpiStack = args.has("cpi-stack");
+    if (int rc = parseSamplingFlags(args, spec))
         return rc;
-    int trc = 0;
-    auto telemetry = openTelemetry(opts, "time", &trc);
-    if (trc)
-        return trc;
-    if (sampling_spec.sampling) {
-        if (!opts.tracePath.empty() || !opts.chromePath.empty() ||
-            opts.interval)
-            warn("--sampling: pipetrace/chrome-trace/interval sinks "
-                 "do not apply to sampled runs; ignoring them");
-        sampling_spec.configs = configs;
-        sampling_spec.jobs = 1;
-        sampling_spec.telemetry = telemetry.get();
-        sweep::WorkloadSpec w;
-        w.name = target;
-        w.sourcePath = source_path;
-        w.scale = scale;
-        w.warmup = workload_warmup;
-        w.timed = timed;
-        sampling_spec.workloads.push_back(std::move(w));
-        sweep::SweepResult result =
-            core::Experiment::sweep(sampling_spec);
-        if (telemetry) {
-            std::uint64_t total = 0;
-            for (const auto &point : result.timing)
-                total += point.stats.instructions;
-            telemetry->emitFinal(total);
-        }
-        obs::Report report;
-        report.command = "time";
-        for (const auto &point : result.timing) {
-            obs::RunRecord record;
-            record.workload = point.workload;
-            record.config = point.config;
-            record.stats = point.snapshot;
-            record.sampling = point.sampling;
-            report.runs.push_back(std::move(record));
-        }
-        if (!quietOutput()) {
-            std::printf("%-12s %12s %6s\n", "config", "cycles(est)",
-                        "IPC");
-            for (const auto &point : result.timing)
-                std::printf("%-12s %12llu %6.2f\n",
-                            point.config.c_str(),
-                            (unsigned long long)point.stats.cycles,
-                            point.stats.ipc());
-            printSampledTable(result.timing);
-        }
-        return emitReport(report, opts);
-    }
 
-    if (!opts.tracePath.empty() && configs.size() > 1)
-        warn("--pipetrace with multiple configs: tracing only '%s'",
-             configs.front().name.c_str());
-    if (!opts.chromePath.empty() && configs.size() > 1)
-        warn("--chrome-trace with multiple configs: tracing only '%s'",
-             configs.front().name.c_str());
-    if (!opts.intervalStreamPath.empty() && configs.size() > 1)
-        warn("--interval-stream with multiple configs: streaming "
-             "only '%s'", configs.front().name.c_str());
+    int rc = 0;
+    auto telemetry = openTelemetry(opts, "time", &rc);
+    if (rc)
+        return rc;
+    spec.telemetry = telemetry.get();
+    obs::Hooks first_hooks;
+    std::unique_ptr<std::ofstream> interval_stream;
+    if ((rc = attachTimingSinks(opts, spec, first_hooks,
+                                interval_stream)))
+        return rc;
 
-    // Each configuration gets a fresh Hooks: the core re-registers
-    // the same stat names on every run.
-    obs::Report report;
-    report.command = "time";
-    std::vector<ooo::OooStats> results;
-    results.reserve(configs.size());
-    std::uint64_t total_insts = 0;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        obs::Hooks hooks;
-        hooks.intervalEvery = opts.interval;
-        if (i == 0 && !opts.tracePath.empty() &&
-            !hooks.openTrace(opts.tracePath, opts.traceMax))
-            return 1;
-        if (i == 0 && !opts.chromePath.empty() &&
-            !hooks.openChromeTrace(opts.chromePath, opts.chromeMax))
-            return 1;
-        // The sampler itself is (re)armed inside timingStudy, after
-        // the core registers its stats; the sink attaches then.
-        std::unique_ptr<std::ofstream> interval_stream;
-        if (i == 0) {
-            interval_stream = openIntervalStream(opts, hooks, &trc);
-            if (trc)
-                return trc;
-        }
-        std::unique_ptr<obs::TelemetryScope> tscope;
-        if (telemetry) {
-            tscope = std::make_unique<obs::TelemetryScope>(
-                telemetry.get(), static_cast<int>(i), target,
-                configs[i].name, -1, timed);
-            tscope->start();
-            hooks.telemetry = tscope.get();
-        }
-        {
-            obs::ProfScope prof("time/simulate",
-                                obs::ProfScope::Mode::Absolute);
-            results.push_back(experiment.timingStudy(
-                configs[i], workload_warmup, timed, &hooks, nullptr,
-                warmup_window));
-            prof.addGuestInsts(workload_warmup +
-                               results.back().instructions);
-            prof.addGuestCycles(results.back().cycles);
-        }
-        if (tscope)
-            tscope->done(results.back().instructions,
-                         results.back().cycles);
-        total_insts += results.back().instructions;
-        hooks.finishChromeTrace(target + " " + configs[i].name);
-        if (opts.wantsReport())
-            report.runs.push_back(obs::RunRecord::fromHooks(
-                target, configs[i].name, hooks));
-    }
-    if (telemetry)
-        telemetry->emitFinal(total_insts);
+    sweep::SweepResult result = core::Experiment::sweep(spec);
+    emitFinalTelemetry(telemetry.get(), result);
 
-    if (quietOutput())
-        return emitReport(report, opts);
-    if (args.has("verbose")) {
-        for (const auto &stats : results)
-            std::printf("%s\n", stats.dump().c_str());
-        return emitReport(report, opts);
-    }
-    std::printf("%-12s %10s %6s %8s %8s %8s\n", "config", "cycles",
-                "IPC", "LVAQ%", "regmis", "fwd");
-    for (const auto &stats : results) {
-        double mem_ops =
-            static_cast<double>(stats.loads + stats.stores);
-        std::printf("%-12s %10llu %6.2f %7.1f%% %8llu %8llu\n",
-                    stats.configName.c_str(),
-                    (unsigned long long)stats.cycles, stats.ipc(),
-                    mem_ops ? 100.0 * stats.lvaqSteered / mem_ops : 0.0,
-                    (unsigned long long)stats.regionMispredictions,
-                    (unsigned long long)stats.forwardedLoads);
-    }
+    if (!quietOutput())
+        printTimeTable(result.timing, spec.sampling, args.has("verbose"));
+    obs::Report report = result.toReport("time");
+    // One record per config: `time` reports no grid summary.
+    report.runs.pop_back();
     return emitReport(report, opts);
 }
 
@@ -1262,14 +1248,8 @@ cmdSweep(const std::string &target, Args &args)
         std::stringstream stream(target);
         std::string name;
         while (std::getline(stream, name, ',')) {
-            const auto &info = workloads::workloadByName(name);
-            sweep::WorkloadSpec w;
-            w.name = info.name;
-            w.scale = scale;
-            w.warmup = info.warmupInsts;
-            w.timed = timed;
-            w.studyInsts = study;
-            spec.workloads.push_back(std::move(w));
+            spec.workloads.push_back(registryRow(name, scale, timed));
+            spec.workloads.back().studyInsts = study;
         }
     }
     if (!workload_dir.empty()) {
@@ -1289,24 +1269,21 @@ cmdSweep(const std::string &target, Args &args)
     for (auto &w : spec.workloads)
         w.warmupWindow = warmup_window;
 
-    int trc = 0;
-    auto telemetry = openTelemetry(opts, "sweep", &trc);
-    if (trc)
-        return trc;
+    int rc = 0;
+    auto telemetry = openTelemetry(opts, "sweep", &rc);
+    if (rc)
+        return rc;
     spec.telemetry = telemetry.get();
     spec.telemetryStallSec = static_cast<double>(
         args.flagInt("telemetry-stall-sec", 30));
+    obs::Hooks first_hooks;
+    std::unique_ptr<std::ofstream> interval_stream;
+    if ((rc = attachTimingSinks(opts, spec, first_hooks,
+                                interval_stream)))
+        return rc;
 
     sweep::SweepResult result = core::Experiment::sweep(spec);
-
-    if (telemetry) {
-        std::uint64_t total = 0;
-        for (const auto &point : result.timing)
-            total += point.stats.instructions;
-        for (const auto &point : result.region)
-            total += point.instructions;
-        telemetry->emitFinal(total);
-    }
+    emitFinalTelemetry(telemetry.get(), result);
 
     if (!result.timing.empty() && !quietOutput()) {
         std::printf("%-15s %-12s %10s %6s\n", "workload", "config",
@@ -2312,8 +2289,9 @@ usage()
         "  --stats-json F   --stats-csv F   --interval N\n"
         "  --interval-stream F   stream sampled rows as CSV (needs\n"
         "                        --interval; O(1) sampler memory)\n"
-        "  --pipetrace F [--pipetrace-max N]   (time only)\n"
-        "  --chrome-trace F [--chrome-trace-max N]   (time only)\n"
+        "  --pipetrace F [--pipetrace-max N]   (time and sweep:\n"
+        "                                      the first timing point)\n"
+        "  --chrome-trace F [--chrome-trace-max N]   (likewise)\n"
         "  --quiet   --log-level debug|info|warn|quiet\n"
         "telemetry (run, time, replay, sweep):\n"
         "  --telemetry F             append heartbeat JSONL records\n"
