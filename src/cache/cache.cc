@@ -77,6 +77,16 @@ Cache::probe(Addr addr) const
 }
 
 void
+Cache::restoreTags(const Tags &tags)
+{
+    ARL_ASSERT(tags.lines.size() == lines.size(),
+               "cache %s: restoring %zu lines into %zu",
+               geom.name.c_str(), tags.lines.size(), lines.size());
+    lines = tags.lines;
+    stamp = tags.stamp;
+}
+
+void
 Cache::flush()
 {
     for (Line &line : lines)

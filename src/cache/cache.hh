@@ -66,6 +66,33 @@ class Cache
     /** Invalidate everything (e.g. between benchmark runs). */
     void flush();
 
+    /** One tag-array entry. */
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lruStamp = 0;
+    };
+
+    /**
+     * Tag-array contents: the lines plus the LRU clock, i.e. all the
+     * state access() changes apart from the statistics.  Plain data,
+     * so a warmed cache can be copied into another of the same
+     * geometry (OooCore::WarmState).
+     */
+    struct Tags
+    {
+        std::vector<Line> lines;
+        std::uint64_t stamp = 0;
+    };
+
+    Tags tags() const { return {lines, stamp}; }
+
+    /** Replace the tag array with @p tags (same geometry, asserted);
+     *  statistics are left alone. */
+    void restoreTags(const Tags &tags);
+
     const CacheGeometry &geometry() const { return geom; }
 
     // --- statistics ---
@@ -84,14 +111,6 @@ class Cache
                        const std::string &prefix) const;
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lruStamp = 0;
-    };
-
     Addr lineAddr(Addr addr) const { return addr / geom.lineBytes; }
     std::uint32_t setIndex(Addr addr) const
     {

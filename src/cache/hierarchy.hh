@@ -163,6 +163,9 @@ class Hierarchy
     Cache &l1() { return l1Cache; }
     Cache &lvcCache() { return *lvc; }
     Cache &l2() { return l2Cache; }
+    const Cache &l1() const { return l1Cache; }
+    const Cache &lvcCache() const { return *lvc; }
+    const Cache &l2() const { return l2Cache; }
     bool hasLvc() const { return lvc != nullptr; }
 
     const HierarchyConfig &configuration() const { return config; }

@@ -35,6 +35,15 @@ Tlb::translate(Addr addr)
 }
 
 void
+Tlb::restoreContents(const std::vector<Entry> &contents)
+{
+    ARL_ASSERT(contents.size() == entries.size(),
+               "TLB: restoring %zu entries into %zu", contents.size(),
+               entries.size());
+    entries = contents;
+}
+
+void
 Tlb::registerStats(obs::StatsRegistry &registry,
                    const std::string &prefix) const
 {

@@ -48,6 +48,22 @@ class Tlb
     /** Translate (and refill on miss). */
     TlbResult translate(Addr addr);
 
+    /** One translation slot. */
+    struct Entry
+    {
+        Addr vpn = 0;
+        bool valid = false;
+        bool stackBit = false;
+    };
+
+    /** The translation slots: all the state translate() changes apart
+     *  from the statistics (the region map is not state). */
+    const std::vector<Entry> &contents() const { return entries; }
+
+    /** Replace every slot with @p contents (same entry count,
+     *  asserted); statistics are left alone. */
+    void restoreContents(const std::vector<Entry> &contents);
+
     // --- statistics ---
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -57,13 +73,6 @@ class Tlb
                        const std::string &prefix) const;
 
   private:
-    struct Entry
-    {
-        Addr vpn = 0;
-        bool valid = false;
-        bool stackBit = false;
-    };
-
     std::vector<Entry> entries;
     const vm::RegionMap &regions;
 };

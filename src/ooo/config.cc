@@ -40,6 +40,32 @@ MachineConfig::applyContention(const ContentionKnobs &knobs)
     name += knobs.suffix();
 }
 
+std::string
+MachineConfig::warmKey() const
+{
+    auto geometry = [](const cache::CacheGeometry &g) {
+        return std::to_string(g.sizeBytes) + "/" +
+               std::to_string(g.lineBytes) + "/" +
+               std::to_string(g.assoc);
+    };
+    std::string key = "l1 " + geometry(hierarchy.l1);
+    if (hierarchy.hasLvc)
+        key += " lvc " + geometry(hierarchy.lvc);
+    key += " l2 " + geometry(hierarchy.l2);
+    key += " tlb " + std::to_string(tlbEntries);
+    key += decoupled ? " decoupled" : " unified";
+    key += " arpt " + std::to_string(arpt.entries) + "/" +
+           std::to_string(arpt.counterBits) + "/" +
+           std::to_string(static_cast<unsigned>(arpt.context.kind)) +
+           "/" + std::to_string(arpt.context.gbhBits) + "/" +
+           std::to_string(arpt.context.cidBits);
+    key += (valuePrediction ? " vp " : " novp ") +
+           std::to_string(vpEntries);
+    key += (perfectBranchPrediction ? " perfectbp " : " bp ") +
+           std::to_string(bpEntries);
+    return key;
+}
+
 MachineConfig
 MachineConfig::nPlusM(unsigned dports, unsigned lports,
                       unsigned l1_hit_latency)

@@ -114,6 +114,20 @@ struct MachineConfig
     unsigned branchMispredictPenalty = 5;
 
     /**
+     * Identity of the state OooCore::warmup() leaves behind: every
+     * field it reads or that sizes what it writes — the L1/LVC/L2
+     * geometry, tlbEntries, `decoupled` (stack refs warm the LVC and
+     * train the ARPT), the ARPT configuration, valuePrediction +
+     * vpEntries and perfectBranchPrediction + bpEntries.  Configs
+     * with equal keys warm bit-identical state from the same records,
+     * so a sweep row warms once per key and shares the result
+     * (OooCore::WarmState).  Ports, latencies, queue and window
+     * sizes, issue width, contention knobs and penalties only shape
+     * the timed window and stay out of it.
+     */
+    std::string warmKey() const;
+
+    /**
      * Build the "(N+M)" preset of Fig 8.
      * @param dports N (data-cache ports).
      * @param lports M (LVC ports; 0 = conventional).

@@ -1118,6 +1118,48 @@ OooCore::warmup(InstCount insts, InstCount warm_last)
             branchPred.train(step.pc, step.gbh, step.branchTaken);
     }
     // Timed statistics start clean.
+    clearMemoryCounters();
+    // Warmup is functional (untimed, via the ideal access path); any
+    // contention state would carry bogus cycle-0 timestamps into the
+    // timed window, so the backend starts it from scratch.
+    hierarchy.resetContention();
+}
+
+OooCore::WarmState
+OooCore::snapshotWarmState() const
+{
+    return {config.warmKey(),
+            hierarchy.l1().tags(),
+            hierarchy.hasLvc() ? hierarchy.lvcCache().tags()
+                               : cache::Cache::Tags{},
+            hierarchy.l2().tags(),
+            tlb.contents(),
+            arpt,
+            valuePred,
+            branchPred};
+}
+
+void
+OooCore::adoptWarmState(const WarmState &state)
+{
+    ARL_ASSERT(state.key == config.warmKey(),
+               "warm state of '%s' adopted by a '%s' core",
+               state.key.c_str(), config.warmKey().c_str());
+    hierarchy.l1().restoreTags(state.l1);
+    if (hierarchy.hasLvc())
+        hierarchy.lvcCache().restoreTags(state.lvc);
+    hierarchy.l2().restoreTags(state.l2);
+    tlb.restoreContents(state.tlb);
+    arpt = state.arpt;
+    valuePred = state.valuePred;
+    branchPred = state.branchPred;
+    clearMemoryCounters();
+    hierarchy.resetContention();
+}
+
+void
+OooCore::clearMemoryCounters()
+{
     hierarchy.l1().hits = hierarchy.l1().misses = 0;
     hierarchy.l1().writebacks = 0;
     if (hierarchy.hasLvc()) {
@@ -1126,10 +1168,6 @@ OooCore::warmup(InstCount insts, InstCount warm_last)
     }
     hierarchy.l2().hits = hierarchy.l2().misses = 0;
     hierarchy.l2().writebacks = 0;
-    // Warmup is functional (untimed, via the ideal access path); any
-    // contention state would carry bogus cycle-0 timestamps into the
-    // timed window, so the backend starts it from scratch.
-    hierarchy.resetContention();
     tlb.hits = tlb.misses = 0;
 }
 
@@ -1144,15 +1182,7 @@ OooCore::statsFence()
     // state (bank/MSHR/bus timestamps, in-flight ROB entries) is
     // deliberately left alone: carrying it into the measured window
     // is the whole point of a detailed warmup.
-    hierarchy.l1().hits = hierarchy.l1().misses = 0;
-    hierarchy.l1().writebacks = 0;
-    if (hierarchy.hasLvc()) {
-        hierarchy.lvcCache().hits = hierarchy.lvcCache().misses = 0;
-        hierarchy.lvcCache().writebacks = 0;
-    }
-    hierarchy.l2().hits = hierarchy.l2().misses = 0;
-    hierarchy.l2().writebacks = 0;
-    tlb.hits = tlb.misses = 0;
+    clearMemoryCounters();
 }
 
 OooStats

@@ -68,6 +68,17 @@
  * grid's cycles have no dispatch, issue, address generation, memory
  * access, writeback or commit — too few to pay for keeping the
  * per-cycle CPI-stack attribution exact across a jump.
+ *
+ * Warm-state sharing: warmup() is functional, so what it leaves
+ * behind — the L1/LVC/L2 tag arrays with their LRU clocks, the TLB
+ * slots, the ARPT, the value predictor and the gshare table — depends
+ * only on the records warmed and on MachineConfig::warmKey(), not on
+ * ports, latencies or queue sizes.  snapshotWarmState() copies that
+ * state out as plain data (WarmState) and adoptWarmState() assigns it
+ * into another core of the same key, which then times exactly as if
+ * it had warmed itself.  The sweep engine warms each workload row once
+ * per key this way (tests/test_differential.cc compares it with
+ * per-point warmup).
  */
 
 #ifndef ARL_OOO_CORE_HH
@@ -77,6 +88,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -196,6 +208,39 @@ class OooCore
      *        window.
      */
     void warmup(InstCount insts, InstCount warm_last = 0);
+
+    /**
+     * Everything warmup() writes, as plain data: the L1/LVC/L2 tag
+     * arrays with their LRU clocks, the TLB slots, the ARPT, the
+     * value predictor and the gshare table.  It holds no reference
+     * into a core, so one snapshot can be adopted by any number of
+     * cores whose MachineConfig::warmKey() equals `key`.
+     */
+    struct WarmState
+    {
+        std::string key;   ///< MachineConfig::warmKey() of the source
+        cache::Cache::Tags l1;
+        cache::Cache::Tags lvc;   ///< empty without an LVC
+        cache::Cache::Tags l2;
+        std::vector<cache::Tlb::Entry> tlb;
+        predict::Arpt arpt;
+        ValuePredictor valuePred;
+        GsharePredictor branchPred;
+    };
+
+    /** Copy out the state a warmup() built. */
+    WarmState snapshotWarmState() const;
+
+    /**
+     * Leave this core exactly as warmup() would have left it: assign
+     * @p state into the core's own caches, TLB and predictors (so
+     * stat pointers registered by attachObs() stay valid), then clear
+     * the statistics and contention state like warmup()'s epilogue.
+     * The key, and with it every geometry, must match (asserted).
+     * Positioning the step source past the warmup is the caller's
+     * business.
+     */
+    void adoptWarmState(const WarmState &state);
 
     /**
      * Simulate until the program halts or @p max_insts instructions
@@ -614,6 +659,9 @@ class OooCore
      *  The boundary between a detailed warmup and its measured
      *  window. */
     void statsFence();
+
+    /** Zero the cache and TLB hit/miss/writeback counters. */
+    void clearMemoryCounters();
 
     Cycle now = 0;
     OooStats stats;

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -179,6 +180,20 @@ struct TimingJob
     std::ptrdiff_t rep = Exact;
     /** Result slot: rep jobs index repRuns, verify jobs verifyRuns. */
     std::size_t slot = 0;
+};
+
+/**
+ * One (workload row, MachineConfig::warmKey()) cell of the shared
+ * warm-state cache: the first exact or verify job to need it warms
+ * its own core and publishes the snapshot under `once`; every later
+ * job of the row with that key adopts it instead of replaying the
+ * warmup.  Warming is deterministic, so which job builds it never
+ * shows in any result.
+ */
+struct WarmSlot
+{
+    std::once_flag once;
+    std::shared_ptr<const ooo::OooCore::WarmState> state;
 };
 
 /**
@@ -403,6 +418,21 @@ runSweep(const SweepSpec &spec)
         remaining[tj.wi].fetch_add(1, std::memory_order_relaxed);
     std::atomic<std::uint64_t> seek_skipped{0};
 
+    // Warm-state sharing: configs with equal warm keys warm the same
+    // state from the same records, so each row warms once per key.
+    std::vector<std::size_t> key_of(nc);
+    std::vector<std::string> keys;
+    for (std::size_t ci = 0; ci < nc; ++ci) {
+        std::string key = spec.configs[ci].warmKey();
+        auto it = std::find(keys.begin(), keys.end(), key);
+        key_of[ci] = static_cast<std::size_t>(it - keys.begin());
+        if (it == keys.end())
+            keys.push_back(std::move(key));
+    }
+    std::vector<WarmSlot> warm_slots(nw * keys.size());
+    std::atomic<std::uint64_t> warm_built{0};
+    std::atomic<std::uint64_t> warm_replayed{0};
+
     // Coordinator watchdog: while the grid drains, flag any started
     // job whose heartbeat has been silent longer than the stall
     // threshold (a stall record on the channel plus a warning on
@@ -475,16 +505,9 @@ runSweep(const SweepSpec &spec)
             if (w.warmupWindow && w.warmupWindow < window)
                 window = w.warmupWindow;
             InstCount ff_skip = 0;
-            if (spec.seekFastForward && w.warmup > window) {
+            if (spec.seekFastForward && w.warmup > window)
                 ff_skip = trace_handle->checkpointAtOrBelow(w.warmup -
                                                             window);
-                if (ff_skip) {
-                    obs::ProfScope prof_seek("seek");
-                    source->seekTo(ff_skip);
-                    seek_skipped.fetch_add(
-                        ff_skip, std::memory_order_relaxed);
-                }
-            }
             ooo::OooCore core(config, prep[wi].program, source);
             // The grid's first point runs on the caller's hooks, so
             // its already-opened trace sinks see exactly one run.
@@ -510,8 +533,36 @@ runSweep(const SweepSpec &spec)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(testStallMs()));
             }
-            ooo::OooStats stats =
-                core.measure(w.warmup - ff_skip, window, w.timed);
+            {
+                // Warm this core, or adopt the row's snapshot for its
+                // warm key and position the trace where warming would
+                // have left it.
+                obs::ProfScope prof_warm("warm");
+                WarmSlot &slot =
+                    warm_slots[wi * keys.size() + key_of[tj.ci]];
+                bool built = false;
+                std::call_once(slot.once, [&] {
+                    if (ff_skip) {
+                        obs::ProfScope prof_seek("seek");
+                        source->seekTo(ff_skip);
+                        seek_skipped.fetch_add(
+                            ff_skip, std::memory_order_relaxed);
+                    }
+                    core.warmup(w.warmup - ff_skip, window);
+                    slot.state =
+                        std::make_shared<const ooo::OooCore::WarmState>(
+                            core.snapshotWarmState());
+                    warm_built.fetch_add(1, std::memory_order_relaxed);
+                    warm_replayed.fetch_add(w.warmup - ff_skip,
+                                            std::memory_order_relaxed);
+                    built = true;
+                });
+                if (!built) {
+                    core.adoptWarmState(*slot.state);
+                    source->seekTo(w.warmup);
+                }
+            }
+            ooo::OooStats stats = core.measure(0, 0, w.timed);
             if (tscope)
                 tscope->done(stats.instructions, stats.cycles);
             // The scope dies with this job; the caller's hooks do not.
@@ -670,8 +721,11 @@ runSweep(const SweepSpec &spec)
 
         job_seconds[job] = secondsSince(start);
         trace_handle.reset();
-        if (remaining[wi].fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (remaining[wi].fetch_sub(1, std::memory_order_acq_rel) == 1) {
             prep[wi].trace.reset();
+            for (std::size_t k = 0; k < keys.size(); ++k)
+                warm_slots[wi * keys.size() + k].state.reset();
+        }
     });
 
     grid_done.store(true, std::memory_order_release);
@@ -684,6 +738,10 @@ runSweep(const SweepSpec &spec)
             result.serialSecondsEstimate += s;
         result.seekSkippedRecords =
             seek_skipped.load(std::memory_order_relaxed);
+        result.warmStatesBuilt =
+            warm_built.load(std::memory_order_relaxed);
+        result.warmupReplayedInsts =
+            warm_replayed.load(std::memory_order_relaxed);
         if (sampled) {
             // Fold per-representative measurements back into one
             // extrapolated point per grid cell.  Cursor order here
@@ -809,6 +867,8 @@ SweepResult::addTimingStats(obs::StatsRegistry &registry) const
             : 0.0;
     registry.counter("sweep.trace.seek_ff_skipped") =
         seekSkippedRecords;
+    registry.counter("sweep.warm.states_built") = warmStatesBuilt;
+    registry.counter("sweep.warm.replayed_insts") = warmupReplayedInsts;
 }
 
 } // namespace arl::sweep

@@ -246,8 +246,17 @@ struct SweepResult
     std::uint64_t traceV1EquivBytes = 0;
     /** Wall time spent loading + decoding cache hits. */
     double traceDecodeSeconds = 0.0;
-    /** Records skipped by checkpointed fast-forward across all jobs. */
+    /** Records skipped by checkpointed fast-forward across all jobs
+     *  (exact and verify jobs seek only when they build warm state). */
     std::uint64_t seekSkippedRecords = 0;
+
+    // --- warm-state sharing (deterministic, but kept out of
+    // toReport() so reports keep their bytes) ---
+    /** Warm states built: one per (workload row, warm key) with
+     *  exact or verify points. */
+    std::uint64_t warmStatesBuilt = 0;
+    /** Warmup records replayed to build them (after any seek). */
+    std::uint64_t warmupReplayedInsts = 0;
 
     /** Timing point (wi, ci). */
     const TimingPoint &

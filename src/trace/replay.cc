@@ -36,8 +36,10 @@ recordToMemory(std::shared_ptr<const vm::Program> program,
     auto trace = std::make_shared<InMemoryTrace>();
     trace->program = program->name;
     trace->checkpointEvery = checkpoint_every;
-    if (max_insts)
+    if (max_insts) {
         trace->records.reserve(max_insts);
+        trace->decoded.reserve(max_insts);
+    }
     sim::Simulator simulator(std::move(program));
     v2::MemTouchDigest digest;
     sim::StepInfo step;

@@ -20,7 +20,11 @@
  *     warmup window, while actually skipping records;
  *  7. a live Experiment::timingStudy and the sweep's replayed point
  *     (both OooCore::measure) report the same stats and the same
- *     interval rows, with and without seek-ff.
+ *     interval rows, with and without seek-ff;
+ *  8. sharing one warm state per (row, MachineConfig::warmKey())
+ *     across a row's timing points reports exactly what warming
+ *     every point separately does, splitting the key on each warmed
+ *     structure, at any --jobs, with and without seek-ff.
  */
 
 #include <gtest/gtest.h>
@@ -29,8 +33,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "obs/hooks.hh"
@@ -393,4 +400,127 @@ TEST(Differential, TimingStudyMatchesSweepPointIntervals)
     live.writeJson(live_json);
     swept.writeJson(swept_json);
     EXPECT_EQ(live_json.str(), swept_json.str());
+}
+
+namespace
+{
+
+/**
+ * Configs covering MachineConfig::warmKey(): the Fig. 8 suite (two
+ * keys, many port/latency variants sharing each), the contention
+ * knobs (sharing those keys), and one split per warmed structure
+ * (VP and gshare switches, L1/LVC/L2 geometry, TLB, ARPT, VP and
+ * gshare sizes).  Each split comes as two port variants of one key,
+ * so every key has a config that adopts the state another one built.
+ * The small L1/L2 splits evict constantly, so LRU order matters.
+ */
+std::vector<ooo::MachineConfig>
+warmKeyGrid()
+{
+    std::vector<ooo::MachineConfig> configs =
+        ooo::MachineConfig::figure8Suite();
+    ooo::ContentionKnobs knobs;
+    knobs.banks = 4;
+    knobs.mshrs = 8;
+    knobs.wbBuffer = 4;
+    knobs.busCycles = 2;
+    knobs.tlbMissLatency = 30;
+    for (auto [d, l] : {std::pair{2u, 0u}, std::pair{3u, 3u}}) {
+        ooo::MachineConfig contended = ooo::MachineConfig::nPlusM(d, l);
+        contended.applyContention(knobs);
+        configs.push_back(contended);
+    }
+    auto split = [&](bool decoupled, const char *tag, auto &&edit) {
+        for (unsigned ports : {2u, 3u}) {
+            ooo::MachineConfig config = ooo::MachineConfig::nPlusM(
+                ports, decoupled ? ports : 0);
+            config.name += tag;
+            edit(config);
+            configs.push_back(config);
+        }
+    };
+    for (bool decoupled : {false, true}) {
+        split(decoupled, "/novp",
+              [](auto &c) { c.valuePrediction = false; });
+        split(decoupled, "/gshare",
+              [](auto &c) { c.perfectBranchPrediction = false; });
+    }
+    split(true, "/l1", [](auto &c) {
+        c.hierarchy.l1 = {"L1D", 4 * 1024, 32, 4};
+    });
+    split(true, "/lvc", [](auto &c) {
+        c.hierarchy.lvc = {"LVC", 8 * 1024, 32, 2};
+    });
+    split(false, "/l2", [](auto &c) {
+        c.hierarchy.l2 = {"L2", 16 * 1024, 32, 8};
+    });
+    split(true, "/tlb", [](auto &c) { c.tlbEntries = 16; });
+    split(true, "/arpt", [](auto &c) { c.arpt.entries = 1024; });
+    split(true, "/vp", [](auto &c) { c.vpEntries = 1024; });
+    split(false, "/bp", [](auto &c) {
+        c.perfectBranchPrediction = false;
+        c.bpEntries = 1024;
+    });
+    return configs;
+}
+
+} // namespace
+
+TEST(Differential, SharedWarmStateMatchesPerPointWarmup)
+{
+    constexpr InstCount kEvery = 1024;
+    constexpr InstCount kWindow = 2048;
+    sweep::SweepSpec spec;
+    for (const char *name : {"go_like", "tomcatv_like"}) {
+        const auto &info = workloads::workloadByName(name);
+        sweep::WorkloadSpec w;
+        w.name = info.name;
+        w.warmup = info.warmupInsts;
+        w.timed = 4000;
+        spec.workloads.push_back(std::move(w));
+    }
+    spec.configs = warmKeyGrid();
+    spec.checkpointEvery = kEvery;
+    std::set<std::string> keys;
+    for (const ooo::MachineConfig &config : spec.configs)
+        keys.insert(config.warmKey());
+    // Figure 8's two keys plus one per split variant.
+    ASSERT_EQ(keys.size(), 2u + 11u);
+
+    for (InstCount window : {InstCount{0}, kWindow}) {
+        // Per-point warmup: one live timingStudy per config, in the
+        // sweep's workload-major order.
+        obs::Report live;
+        live.command = "sweep";
+        for (const sweep::WorkloadSpec &w : spec.workloads) {
+            core::Experiment experiment(workloads::buildWorkload(w.name, 1));
+            for (const ooo::MachineConfig &config : spec.configs) {
+                obs::Hooks hooks;
+                experiment.timingStudy(config, w.warmup, w.timed, &hooks,
+                                       nullptr, window);
+                live.runs.push_back(
+                    obs::RunRecord::fromHooks(w.name, config.name, hooks));
+            }
+        }
+        std::ostringstream live_json;
+        live.writeJson(live_json);
+
+        for (auto &w : spec.workloads)
+            w.warmupWindow = window;
+        spec.seekFastForward = window != 0;
+        for (unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE("window " + std::to_string(window) + ", jobs " +
+                         std::to_string(jobs));
+            spec.jobs = jobs;
+            sweep::SweepResult result = sweep::runSweep(spec);
+            EXPECT_EQ(result.warmStatesBuilt,
+                      spec.workloads.size() * keys.size());
+            EXPECT_EQ(result.seekSkippedRecords > 0, window != 0);
+            obs::Report swept = result.toReport();
+            swept.runs.pop_back();  // the grid summary
+            std::ostringstream swept_json;
+            swept.writeJson(swept_json);
+            EXPECT_EQ(swept_json.str(), live_json.str());
+        }
+    }
 }

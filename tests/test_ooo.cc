@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "builder/program_builder.hh"
 #include "cache/hierarchy.hh"
@@ -17,6 +22,7 @@
 #include "obs/hooks.hh"
 #include "ooo/core.hh"
 #include "ooo/value_predictor.hh"
+#include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
 using namespace arl;
@@ -800,4 +806,125 @@ TEST(OooWorkCounters, SchedulerWorkBoundedPerEvent)
     // Stores are visited for address generation when it can run.
     EXPECT_LE(static_cast<double>(work.aguVisits),
               2.0 * static_cast<double>(stats.cycles));
+}
+
+TEST(OooWarmKey, SplitsOnExactlyTheWarmedFields)
+{
+    using Edit = std::function<void(ooo::MachineConfig &)>;
+    const ooo::MachineConfig base = ooo::MachineConfig::nPlusM(2, 2);
+    // Every field OooCore::warmup() reads, or that sizes what it
+    // writes, must split the key ...
+    const std::vector<std::pair<const char *, Edit>> splits = {
+        {"l1.size", [](auto &c) { c.hierarchy.l1.sizeBytes = 32768; }},
+        {"l1.line", [](auto &c) { c.hierarchy.l1.lineBytes = 64; }},
+        {"l1.assoc", [](auto &c) { c.hierarchy.l1.assoc = 4; }},
+        {"hasLvc", [](auto &c) { c.hierarchy.hasLvc = false; }},
+        {"lvc.size", [](auto &c) { c.hierarchy.lvc.sizeBytes = 8192; }},
+        {"lvc.line", [](auto &c) { c.hierarchy.lvc.lineBytes = 64; }},
+        {"lvc.assoc", [](auto &c) { c.hierarchy.lvc.assoc = 2; }},
+        {"l2.size", [](auto &c) { c.hierarchy.l2.sizeBytes = 262144; }},
+        {"l2.line", [](auto &c) { c.hierarchy.l2.lineBytes = 32; }},
+        {"l2.assoc", [](auto &c) { c.hierarchy.l2.assoc = 8; }},
+        {"tlbEntries", [](auto &c) { c.tlbEntries = 32; }},
+        {"decoupled", [](auto &c) { c.decoupled = false; }},
+        {"arpt.entries", [](auto &c) { c.arpt.entries = 8192; }},
+        {"arpt.counterBits", [](auto &c) { c.arpt.counterBits = 2; }},
+        {"arpt.context.kind",
+         [](auto &c) { c.arpt.context.kind = predict::ContextKind::Gbh; }},
+        {"arpt.context.gbhBits", [](auto &c) { c.arpt.context.gbhBits = 4; }},
+        {"arpt.context.cidBits", [](auto &c) { c.arpt.context.cidBits = 3; }},
+        {"valuePrediction", [](auto &c) { c.valuePrediction = false; }},
+        {"vpEntries", [](auto &c) { c.vpEntries = 1024; }},
+        {"perfectBranchPrediction",
+         [](auto &c) { c.perfectBranchPrediction = false; }},
+        {"bpEntries", [](auto &c) { c.bpEntries = 1024; }},
+    };
+    std::set<std::string> seen{base.warmKey()};
+    for (const auto &[field, edit] : splits) {
+        ooo::MachineConfig config = base;
+        edit(config);
+        EXPECT_TRUE(seen.insert(config.warmKey()).second) << field;
+    }
+    // ... and nothing that only shapes the timed window may.
+    ooo::ContentionKnobs knobs;
+    knobs.banks = 4;
+    knobs.mshrs = 8;
+    knobs.wbBuffer = 4;
+    knobs.busCycles = 2;
+    knobs.tlbMissLatency = 30;
+    const std::vector<std::pair<const char *, Edit>> keeps = {
+        {"name", [](auto &c) { c.name = "other"; }},
+        {"dcachePorts", [](auto &c) { c.dcachePorts = 4; }},
+        {"lvcPorts", [](auto &c) { c.lvcPorts = 3; }},
+        {"l1HitLatency", [](auto &c) { c.hierarchy.l1HitLatency = 3; }},
+        {"lvcHitLatency", [](auto &c) { c.hierarchy.lvcHitLatency = 2; }},
+        {"l2HitLatency", [](auto &c) { c.hierarchy.l2HitLatency = 20; }},
+        {"memoryLatency", [](auto &c) { c.hierarchy.memoryLatency = 80; }},
+        {"robSize", [](auto &c) { c.robSize = 64; }},
+        {"lsqSize", [](auto &c) { c.lsqSize = 32; }},
+        {"lsqSizeDecoupled", [](auto &c) { c.lsqSizeDecoupled = 32; }},
+        {"lvaqSize", [](auto &c) { c.lvaqSize = 32; }},
+        {"issueWidth", [](auto &c) { c.issueWidth = 4; }},
+        {"intAlus", [](auto &c) { c.intAlus = 2; }},
+        {"contention", [&](auto &c) { c.applyContention(knobs); }},
+        {"fastForwarding", [](auto &c) { c.fastForwarding = false; }},
+        {"regionMispredictPenalty",
+         [](auto &c) { c.regionMispredictPenalty = 3; }},
+        {"tlbMissLatency", [](auto &c) { c.tlbMissLatency = 30; }},
+        {"branchMispredictPenalty",
+         [](auto &c) { c.branchMispredictPenalty = 9; }},
+        {"cpiStack", [](auto &c) { c.cpiStack = true; }},
+    };
+    for (const auto &[field, edit] : keeps) {
+        ooo::MachineConfig config = base;
+        edit(config);
+        EXPECT_EQ(config.warmKey(), base.warmKey()) << field;
+    }
+    // Figure 8 varies ports and the L1 latency only: two keys.
+    std::set<std::string> fig8;
+    for (const ooo::MachineConfig &config :
+         ooo::MachineConfig::figure8Suite())
+        fig8.insert(config.warmKey());
+    EXPECT_EQ(fig8.size(), 2u);
+}
+
+TEST(OooWarmState, AdoptedStateTimesLikeOwnWarmup)
+{
+    // go_like: its branches mispredict on a cold gshare.
+    auto prog = workloads::buildWorkload("go_like", 1);
+    const InstCount warm = 50000;
+    auto trace = trace::recordToMemory(prog, warm + 20000);
+    // Small caches, so replacement order shows in the timing too.
+    auto shrink = [](ooo::MachineConfig &c) {
+        c.perfectBranchPrediction = false;
+        c.hierarchy.l1 = {"L1D", 4 * 1024, 32, 4};
+        c.hierarchy.l2 = {"L2", 16 * 1024, 32, 8};
+    };
+    ooo::MachineConfig donor_config = ooo::MachineConfig::nPlusM(2, 2);
+    shrink(donor_config);
+    ooo::OooCore donor(donor_config, prog,
+                       std::make_shared<trace::ReplaySource>(trace));
+    donor.warmup(warm);
+    const ooo::OooCore::WarmState state = donor.snapshotWarmState();
+
+    // Same key, different ports and latency: warming itself and
+    // adopting the donor's state must time identically.
+    ooo::MachineConfig config = ooo::MachineConfig::nPlusM(3, 3, 3);
+    shrink(config);
+    ooo::OooCore warmed(config, prog,
+                        std::make_shared<trace::ReplaySource>(trace));
+    warmed.warmup(warm);
+    auto source = std::make_shared<trace::ReplaySource>(trace);
+    ooo::OooCore adopted(config, prog, source);
+    adopted.adoptWarmState(state);
+    source->seekTo(warm);
+    EXPECT_EQ(adopted.run(0).dump(), warmed.run(0).dump());
+
+    // A core of another key refuses the state.
+    EXPECT_DEATH(
+        {
+            ooo::OooCore other(ooo::MachineConfig::nPlusM(2, 0), prog);
+            other.adoptWarmState(state);
+        },
+        "warm state");
 }
