@@ -39,10 +39,6 @@ class BankSet
     BankSet(unsigned banks, std::uint32_t line_bytes);
 
     bool enabled() const { return !nextFree.empty(); }
-    unsigned numBanks() const
-    {
-        return static_cast<unsigned>(nextFree.size());
-    }
 
     /** Bank index serving @p addr (0 when disabled). */
     unsigned bankOf(Addr addr) const;

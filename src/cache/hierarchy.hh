@@ -174,7 +174,6 @@ class Hierarchy
     const BankSet &l1Banks() const { return l1BankSet; }
     const BankSet &lvcBanks() const { return lvcBankSet; }
     const MshrFile &l1Mshrs() const { return l1MshrFile; }
-    const MshrFile &lvcMshrs() const { return lvcMshrFile; }
     std::uint64_t busBusy() const { return busBusyCycles; }
     std::uint64_t wbFullStallCount() const { return wbFullStalls; }
     std::uint64_t wbStallCycleCount() const { return wbStallCycles; }

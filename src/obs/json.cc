@@ -276,8 +276,19 @@ class Parser
         if (pos >= text.size())
             return fail("unexpected end of input");
         switch (text[pos]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            // Containers recurse: bound the depth so hostile input
+            // fails cleanly instead of overflowing the stack.
+            if (depth == MaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(MaxDepth));
+            ++depth;
+            bool ok = text[pos] == '{' ? parseObject(out)
+                                       : parseArray(out);
+            --depth;
+            return ok;
+          }
           case '"':
             out.type = JsonValue::Type::String;
             return parseString(out.string);
@@ -459,9 +470,12 @@ class Parser
         return true;
     }
 
+    static constexpr unsigned MaxDepth = 256;
+
     std::string_view text;
     std::string *error;
     std::size_t pos = 0;
+    unsigned depth = 0;
 };
 
 } // namespace

@@ -126,7 +126,8 @@ struct JsonValue
 
 /**
  * Parse a complete JSON document (trailing whitespace allowed,
- * trailing garbage rejected).
+ * trailing garbage rejected, objects and arrays nested at most 256
+ * deep).
  * @return true on success; on failure @p error (when given) holds a
  *         message with the byte offset.
  */

@@ -95,12 +95,10 @@ traceNeed(const WorkloadSpec &w, bool timing_grid, bool region_grid)
 }
 
 /**
- * Cache file name.  v1 keeps the historical key so pre-existing
- * caches still hit; v2 entries are tagged (a format is part of the
- * bytes being cached, so the two never alias).  Corpus workloads
- * (sourcePath set) carry the source bytes' CRC32 in the key — the
- * registry namespace is never aliased and editing the `.s` file
- * invalidates its entry.
+ * Cache file name, tagged with the encoding (part of the bytes being
+ * cached).  Corpus workloads (sourcePath set) carry the source
+ * bytes' CRC32 in the key — the registry namespace is never aliased
+ * and editing the `.s` file invalidates its entry.
  */
 std::string
 traceCacheKey(const WorkloadSpec &w, InstCount need,
@@ -116,9 +114,7 @@ traceCacheKey(const WorkloadSpec &w, InstCount need,
         key = w.name + "-s" + std::to_string(w.scale) + "-";
     }
     key += need ? "n" + std::to_string(need) : "full";
-    if (format != trace::TraceFormat::V1)
-        key += std::string("-") + trace::formatName(format);
-    return key + ".arlt";
+    return key + "-" + trace::formatName(format) + ".arlt";
 }
 
 /**
@@ -318,8 +314,7 @@ runSweep(const SweepSpec &spec)
                 std::string tmp =
                     cache_path + ".tmp" + std::to_string(getpid());
                 std::uint64_t bytes = 0;
-                if (!trace::trySaveTrace(tmp, *p.trace,
-                                         spec.traceFormat, bytes)) {
+                if (!trace::trySaveTrace(tmp, *p.trace, bytes)) {
                     warn("sweep: cannot write trace cache '%s'",
                          cache_path.c_str());
                 } else if (std::rename(tmp.c_str(),

@@ -107,27 +107,22 @@ struct SweepSpec
      * byte-equivalent to fresh recordings.
      */
     std::string traceCacheDir;
-    /**
-     * On-disk encoding for new cache entries.  V2 (the default) is
-     * delta+varint blocks with a seekable index — typically >=4x
-     * smaller and the prerequisite for seekFastForward benefiting
-     * from cached traces.  Existing v1 entries stay readable either
-     * way (they are keyed separately).
-     */
+    /** On-disk encoding of cache entries (names the cache key). */
     trace::TraceFormat traceFormat = trace::TraceFormat::V2;
     /**
      * Resolve each timing point's fast-forward to the nearest
      * recorded checkpoint at or below (warmup - warmupWindow) and
      * seek the trace there instead of replaying the prefix.  Results
      * are bit-identical to functional fast-forward with the same
-     * warmupWindow; only wall-clock changes.  Workloads without
-     * checkpoints (v1 cache entries) silently fall back to
-     * functional fast-forward.
+     * warmupWindow; only wall-clock changes.  Traces without
+     * checkpoints (hand-built ones) fall back to functional
+     * fast-forward.
      */
     bool seekFastForward = false;
     /**
      * Checkpoint cadence while recording (0 = DefaultBlockRecords).
-     * Also the v2 block size of cache entries written by this sweep.
+     * Also the block size of cache entries written by this sweep, so
+     * at most trace::MaxBlockRecords when a cache is used.
      */
     InstCount checkpointEvery = 0;
     /**
@@ -242,7 +237,7 @@ struct SweepResult
     std::uint64_t traceCacheMisses = 0;
     /** On-disk bytes of cache entries read or written this run. */
     std::uint64_t traceDiskBytes = 0;
-    /** What the same records cost in v1 (64 + 32 N per workload). */
+    /** What the same records cost raw (64 + 32 N per workload). */
     std::uint64_t traceV1EquivBytes = 0;
     /** Wall time spent loading + decoding cache hits. */
     double traceDecodeSeconds = 0.0;

@@ -485,7 +485,7 @@ Reader::open(const std::string &path, std::string &err)
                                       sizeof(IndexHeader) +
                                       sizeof(Trailer);
     if (fileSize < MinSize) {
-        err = "file too small for a v2 trace";
+        err = "not an ARL trace (too small)";
         return false;
     }
 
@@ -497,11 +497,11 @@ Reader::open(const std::string &path, std::string &err)
     std::memcpy(&magic, header, 4);
     std::memcpy(&version, header + 4, 4);
     if (!in || magic != TraceMagic) {
-        err = "bad trace magic";
+        err = "not an ARL trace (bad magic)";
         return false;
     }
     if (version != TraceVersionV2) {
-        err = "not a v2 trace";
+        err = "unsupported trace version (only v2 is read)";
         return false;
     }
     header[63] = '\0';
@@ -509,7 +509,7 @@ Reader::open(const std::string &path, std::string &err)
 
     in.read(reinterpret_cast<char *>(&meta), sizeof(meta));
     if (!in || meta.blockRecords == 0 ||
-        meta.blockRecords > (1u << 24)) {
+        meta.blockRecords > MaxBlockRecords) {
         err = "bad v2 meta";
         return false;
     }

@@ -2,8 +2,8 @@
  * @file
  * ARLT v2: delta+varint block encoding with a seekable footer index.
  *
- * v1 spends a fixed 32 bytes per retired instruction.  v2 exploits
- * the stream's structure instead:
+ * A raw TraceRecord spends a fixed 32 bytes per retired instruction.
+ * v2 exploits the stream's structure instead:
  *
  *  - PCs advance sequentially except at taken control transfers, so
  *    a tag bit plus a zigzag delta replaces the absolute PC;
@@ -22,8 +22,8 @@
  * inconsistent fields) fall back to an escape tag carrying the raw
  * 32-byte record, so encode(decode(x)) == x always holds.
  *
- * File layout (little-endian), after the common 64-byte TraceHeader
- * (version = 2):
+ * File layout (little-endian), after the 64-byte header (magic
+ * "ARLT", version 2, NUL-padded program name):
  *
  *     [Meta]                blockRecords, reserved
  *     [BlockHeader][payload] * B       CRC32-guarded varint blocks
@@ -276,12 +276,6 @@ class Reader
     bool complete() const { return trailer.flags & FlagComplete; }
     std::uint64_t fileBytes() const { return fileSize; }
     std::size_t numBlocks() const { return entries.size(); }
-
-    std::uint64_t
-    blockFirstRecord(std::size_t b) const
-    {
-        return entries[b].firstRecord;
-    }
 
     /** Records held by block @p b (the tail block may be short). */
     std::size_t

@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 
 #include "common/logging.hh"
 #include "obs/profiler.hh"
@@ -46,15 +46,9 @@ recordToMemory(std::shared_ptr<const vm::Program> program,
     while (max_insts == 0 || trace->records.size() < max_insts) {
         if (checkpoint_every &&
             trace->records.size() % checkpoint_every == 0 &&
-            !simulator.halted()) {
-            ArchCheckpoint cp;
-            cp.index = trace->records.size();
-            cp.pc = simulator.process().pc;
-            cp.gpr = simulator.process().gpr;
-            cp.fpr = simulator.process().fpr;
-            cp.memDigest = digest.value();
-            trace->checkpoints.push_back(cp);
-        }
+            !simulator.halted())
+            trace->checkpoints.push_back(captureCheckpoint(
+                simulator, trace->records.size(), digest.value()));
         if (!simulator.step(step))
             break;
         trace->records.push_back(toRecord(step));
@@ -67,23 +61,22 @@ recordToMemory(std::shared_ptr<const vm::Program> program,
 }
 
 std::uint64_t
-saveTrace(const std::string &path, const InMemoryTrace &t,
-          TraceFormat format)
+saveTrace(const std::string &path, const InMemoryTrace &t, TraceFormat)
 {
     std::uint64_t bytes = 0;
-    if (!trySaveTrace(path, t, format, bytes))
+    if (!trySaveTrace(path, t, bytes))
         fatal("trace: cannot write '%s'", path.c_str());
     return bytes;
 }
 
 bool
 trySaveTrace(const std::string &path, const InMemoryTrace &t,
-             TraceFormat format, std::uint64_t &out_bytes)
+             std::uint64_t &out_bytes)
 {
     obs::ProfScope prof("encode");
-    const auto block_records = static_cast<std::uint32_t>(
-        t.checkpointEvery ? t.checkpointEvery : DefaultBlockRecords);
-    TraceWriter writer(path, t.program, format, block_records,
+    TraceWriter writer(path, t.program,
+                       t.checkpointEvery ? t.checkpointEvery
+                                         : DefaultBlockRecords,
                        /*non_fatal=*/true);
     if (writer.ok()) {
         for (const ArchCheckpoint &cp : t.checkpoints)
@@ -103,22 +96,24 @@ trySaveTrace(const std::string &path, const InMemoryTrace &t,
     return true;
 }
 
-namespace
-{
-
 /**
- * Non-fatal v2 load: decode every block sequentially, validating
- * each index checkpoint's PC and memory-touch digest against the
- * decoded stream before it becomes seekable state.
+ * Non-fatal load: decode every block sequentially, validating each
+ * index checkpoint's PC and memory-touch digest against the decoded
+ * stream before it becomes seekable state.
  */
 std::shared_ptr<const InMemoryTrace>
-loadTraceV2(const std::string &path)
+loadTrace(const std::string &path, TraceLoadStats *stats)
 {
+    obs::ProfScope prof("decode");
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point start = Clock::now();
     v2::Reader reader;
     std::string err;
     if (!reader.open(path, err)) {
-        warn("trace cache: '%s': %s; re-recording", path.c_str(),
-             err.c_str());
+        // A missing entry is an ordinary cache miss, not a warning.
+        if (std::filesystem::exists(path))
+            warn("trace cache: '%s': %s; re-recording", path.c_str(),
+                 err.c_str());
         return nullptr;
     }
     auto trace = std::make_shared<InMemoryTrace>();
@@ -155,76 +150,12 @@ loadTraceV2(const std::string &path)
     }
     trace->complete = reader.complete();
     trace->predecode();
-    return trace;
-}
-
-} // namespace
-
-std::shared_ptr<const InMemoryTrace>
-loadTrace(const std::string &path, TraceLoadStats *stats)
-{
-    obs::ProfScope prof("decode");
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point start = Clock::now();
-    std::uint64_t bytes = 0;
-    std::uint32_t version = 0;
-    // Preflight the header and size by hand: TraceReader is fatal on
-    // malformed input, but a stale/corrupt cache entry must only
-    // cause a re-record.
-    {
-        std::ifstream probe(path, std::ios::binary | std::ios::ate);
-        if (!probe)
-            return nullptr;
-        bytes = static_cast<std::uint64_t>(probe.tellg());
-        if (bytes < 64) {
-            warn("trace cache: '%s' has a bad size; re-recording",
-                 path.c_str());
-            return nullptr;
-        }
-        probe.seekg(0);
-        std::uint32_t magic = 0;
-        probe.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-        probe.read(reinterpret_cast<char *>(&version),
-                   sizeof(version));
-        if (!probe || magic != TraceMagic ||
-            (version != TraceVersion && version != TraceVersionV2)) {
-            warn("trace cache: '%s' is not an ARL trace; re-recording",
-                 path.c_str());
-            return nullptr;
-        }
-    }
-
-    std::shared_ptr<const InMemoryTrace> result;
-    if (version == TraceVersionV2) {
-        result = loadTraceV2(path);
-    } else {
-        // 64-byte header + whole 32-byte records.
-        if ((bytes - 64) % sizeof(TraceRecord) != 0) {
-            warn("trace cache: '%s' has a bad size; re-recording",
-                 path.c_str());
-            return nullptr;
-        }
-        TraceReader reader(path);
-        auto trace = std::make_shared<InMemoryTrace>();
-        trace->program = reader.programName();
-        TraceRecord record{};
-        while (reader.nextRecord(record))
-            trace->records.push_back(record);
-        // A v1 cache entry does not persist completeness or
-        // checkpoints; stay conservative.  Consumers gate only on
-        // record count.
-        trace->complete = false;
-        trace->predecode();
-        result = std::move(trace);
-    }
-    if (result && stats) {
-        stats->fileBytes = bytes;
+    if (stats) {
+        stats->fileBytes = reader.fileBytes();
         stats->seconds =
-            std::chrono::duration<double>(Clock::now() - start)
-                .count();
-        stats->version = version;
+            std::chrono::duration<double>(Clock::now() - start).count();
     }
-    return result;
+    return trace;
 }
 
 } // namespace arl::trace

@@ -40,12 +40,12 @@ struct InMemoryTrace
     std::vector<TraceRecord> records;
     /**
      * Architectural checkpoints captured every checkpointEvery
-     * records while recording (none on v1-loaded or hand-built
-     * traces).  Sorted by index; checkpointed fast-forward seeks to
-     * the nearest one at or below its target.
+     * records while recording (none on hand-built traces).  Sorted
+     * by index; checkpointed fast-forward seeks to the nearest one at
+     * or below its target.
      */
     std::vector<ArchCheckpoint> checkpoints;
-    /** Checkpoint cadence (also the v2 block size when saved). */
+    /** Checkpoint cadence (also the block size when saved). */
     InstCount checkpointEvery = 0;
     /**
      * True when the program halted within the recorded window (the
@@ -97,37 +97,36 @@ recordToMemory(std::shared_ptr<const vm::Program> program,
 
 /**
  * Write @p t to @p path in the ARLT format: trySaveTrace(), but
- * fatal on I/O errors.  V2 persists t.checkpoints in the footer
- * index, using t.checkpointEvery as the block size so boundaries
- * coincide.
+ * fatal on I/O errors.  t.checkpoints go into the footer index,
+ * with t.checkpointEvery as the block size so boundaries coincide.
+ * @param format the encoding; V2 is the only one.
  * @return bytes written.
  */
 std::uint64_t saveTrace(const std::string &path, const InMemoryTrace &t,
-                        TraceFormat format = TraceFormat::V1);
+                        TraceFormat format = TraceFormat::V2);
 
 /**
  * Non-fatal saveTrace() for opportunistic writers (the sweep's trace
- * cache): an unopenable path or a mid-write I/O error (disk full,
- * revoked permissions) returns false — after unlinking whatever
- * partial file was created — instead of aborting the run.
+ * cache): an unopenable path, a block size the reader would refuse,
+ * or a mid-write I/O error (disk full, revoked permissions) returns
+ * false — after unlinking whatever partial file was created —
+ * instead of aborting the run.
  * @param out_bytes bytes written, valid only on success.
  */
 bool trySaveTrace(const std::string &path, const InMemoryTrace &t,
-                  TraceFormat format, std::uint64_t &out_bytes);
+                  std::uint64_t &out_bytes);
 
 /** Optional observability for loadTrace(). */
 struct TraceLoadStats
 {
     std::uint64_t fileBytes = 0;  ///< on-disk size
     double seconds = 0.0;         ///< wall time spent loading
-    std::uint32_t version = 0;    ///< header version (1 or 2)
 };
 
 /**
- * Load an ARLT file (v1 or v2) recorded by saveTrace() /
- * `arl_sim record`.  V2 checkpoints are validated against the
- * decoded stream (PC and memory-touch digest) before they are
- * trusted.
+ * Load an ARLT file recorded by saveTrace() / `arl_sim record`.
+ * Checkpoints are validated against the decoded stream (PC and
+ * memory-touch digest) before they are trusted.
  * @return null when @p path does not exist or is not a valid trace
  *         (corrupt caches fall back to re-recording, they never
  *         abort the run).

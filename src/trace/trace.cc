@@ -26,23 +26,9 @@ static_assert(sizeof(TraceHeader) == 64, "header must pack");
 } // namespace
 
 const char *
-formatName(TraceFormat format)
+formatName(TraceFormat)
 {
-    return format == TraceFormat::V2 ? "v2" : "v1";
-}
-
-bool
-parseFormat(const std::string &text, TraceFormat &out)
-{
-    if (text == "v1" || text == "1") {
-        out = TraceFormat::V1;
-        return true;
-    }
-    if (text == "v2" || text == "2") {
-        out = TraceFormat::V2;
-        return true;
-    }
-    return false;
+    return "v2";
 }
 
 TraceRecord
@@ -121,27 +107,50 @@ classifyRecord(const TraceRecord &record)
     return cls;
 }
 
-TraceWriter::TraceWriter(const std::string &path_in,
-                         const std::string &program, TraceFormat format,
-                         std::uint32_t block_records, bool non_fatal)
-    : out(path_in, std::ios::binary | std::ios::trunc), path(path_in),
-      nonFatal(non_fatal)
+ArchCheckpoint
+captureCheckpoint(const sim::Simulator &simulator, InstCount index,
+                  std::uint64_t mem_digest)
 {
+    ArchCheckpoint cp;
+    cp.index = index;
+    cp.pc = simulator.process().pc;
+    cp.gpr = simulator.process().gpr;
+    cp.fpr = simulator.process().fpr;
+    cp.memDigest = mem_digest;
+    return cp;
+}
+
+TraceWriter::TraceWriter(const std::string &path_in,
+                         const std::string &program,
+                         InstCount block_records, bool non_fatal)
+    : path(path_in), nonFatal(non_fatal)
+{
+    if (block_records == 0 || block_records > MaxBlockRecords) {
+        fail("block size " + std::to_string(block_records) +
+             " outside [1, " + std::to_string(MaxBlockRecords) + "]");
+        return;
+    }
+    out.open(path, std::ios::binary | std::ios::trunc);
     if (!out) {
-        if (nonFatal) {
-            failed = true;
-            return;
-        }
-        fatal("trace: cannot open '%s' for writing", path.c_str());
+        fail("cannot open for writing");
+        return;
     }
     TraceHeader header{};
     header.magic = TraceMagic;
-    header.version = static_cast<std::uint32_t>(format);
+    header.version = TraceVersionV2;
     std::strncpy(header.program, program.c_str(),
                  sizeof(header.program) - 1);
     out.write(reinterpret_cast<const char *>(&header), sizeof(header));
-    if (format == TraceFormat::V2)
-        body = std::make_unique<v2::Writer>(out, block_records);
+    body = std::make_unique<v2::Writer>(
+        out, static_cast<std::uint32_t>(block_records));
+}
+
+void
+TraceWriter::fail(const std::string &what)
+{
+    failed = true;
+    if (!nonFatal)
+        fatal("trace: '%s': %s", path.c_str(), what.c_str());
 }
 
 void
@@ -153,14 +162,8 @@ TraceWriter::append(const sim::StepInfo &step)
 void
 TraceWriter::appendRecord(const TraceRecord &record)
 {
-    if (failed)
-        return;
-    if (body)
+    if (!failed)
         body->append(record);
-    else
-        out.write(reinterpret_cast<const char *>(&record),
-                  sizeof(record));
-    ++written;
 }
 
 void
@@ -174,75 +177,45 @@ void
 TraceWriter::close()
 {
     if (out.is_open()) {
-        if (body && !failed)
+        if (!failed)
             body->finish(complete);
         fileBytes = static_cast<std::uint64_t>(out.tellp());
         out.close();
-        if (!out || failed) {
-            if (nonFatal) {
-                failed = true;
-                return;
-            }
-            fatal("trace: write error on '%s'", path.c_str());
-        }
+        if (!out || failed)
+            fail("write error");
     }
 }
 
 TraceWriter::~TraceWriter()
 {
     if (out.is_open()) {
-        if (body)
-            body->finish(complete);
+        body->finish(complete);
         out.close();
     }
 }
 
-TraceReader::TraceReader(const std::string &path_in) : path(path_in)
+TraceReader::TraceReader(const std::string &path_in)
+    : path(path_in), body(std::make_unique<v2::Reader>())
 {
-    std::uint32_t magic = 0;
-    std::uint32_t version = 0;
-    {
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe)
-            fatal("trace: cannot open '%s'", path.c_str());
-        probe.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-        probe.read(reinterpret_cast<char *>(&version),
-                   sizeof(version));
-        if (!probe || magic != TraceMagic)
-            fatal("trace: '%s' is not an ARL trace", path.c_str());
-    }
-    fileVersion = version;
-    if (version == TraceVersionV2) {
-        body = std::make_unique<v2::Reader>();
-        std::string err;
-        if (!body->open(path, err))
-            fatal("trace: '%s': %s", path.c_str(), err.c_str());
-        name = body->program();
-        return;
-    }
-    if (version != TraceVersion)
-        fatal("trace: '%s' has unsupported version %u", path.c_str(),
-              version);
-    in.open(path, std::ios::binary);
-    if (!in)
-        fatal("trace: cannot open '%s'", path.c_str());
-    TraceHeader header{};
-    in.read(reinterpret_cast<char *>(&header), sizeof(header));
-    if (!in)
-        fatal("trace: '%s' is not an ARL trace", path.c_str());
-    header.program[sizeof(header.program) - 1] = '\0';
-    name = header.program;
+    std::string err;
+    if (!body->open(path, err))
+        fatal("trace: '%s': %s", path.c_str(), err.c_str());
 }
 
 TraceReader::~TraceReader() = default;
 
+const std::string &
+TraceReader::programName() const
+{
+    return body->program();
+}
+
 bool
 TraceReader::next(sim::StepInfo &out_step)
 {
-    TraceRecord record{};
-    if (!nextRecord(record))
+    if (bufferPos >= buffer.size() && !fillBuffer())
         return false;
-    out_step = fromRecord(record, consumed - 1);
+    out_step = fromRecord(buffer[bufferPos++], consumed++);
     return true;
 }
 
@@ -261,89 +234,43 @@ TraceReader::fillBuffer()
     return true;
 }
 
-bool
-TraceReader::nextRecord(TraceRecord &out_record)
-{
-    if (body) {
-        if (bufferPos >= buffer.size() && !fillBuffer())
-            return false;
-        out_record = buffer[bufferPos++];
-        ++consumed;
-        return true;
-    }
-    in.read(reinterpret_cast<char *>(&out_record),
-            sizeof(out_record));
-    if (in.gcount() == 0)
-        return false;
-    if (in.gcount() != sizeof(out_record))
-        fatal("trace: truncated record (offset %llu)",
-              (unsigned long long)consumed);
-    ++consumed;
-    return true;
-}
-
 void
 TraceReader::seek(InstCount n)
 {
-    if (body) {
-        const std::uint32_t block_records = body->blockRecords();
-        const std::size_t block =
-            static_cast<std::size_t>(n / block_records);
-        if (n >= body->totalRecords() || block >= body->numBlocks()) {
-            // Past the end: every subsequent read reports EOF.
-            nextBlock = body->numBlocks();
-            buffer.clear();
-            bufferPos = 0;
-            consumed = body->totalRecords();
-            return;
-        }
-        nextBlock = block;
-        buffer.clear();
-        bufferPos = 0;
-        if (!fillBuffer())
-            fatal("trace: '%s': seek into missing block",
-                  path.c_str());
-        bufferPos = static_cast<std::size_t>(n % block_records);
-        consumed = n;
+    const std::uint32_t block_records = body->blockRecords();
+    const std::size_t block = static_cast<std::size_t>(n / block_records);
+    buffer.clear();
+    bufferPos = 0;
+    if (n >= body->totalRecords() || block >= body->numBlocks()) {
+        // Past the end: every subsequent read reports EOF.
+        nextBlock = body->numBlocks();
+        consumed = body->totalRecords();
         return;
     }
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(sizeof(TraceHeader) +
-                                         n * sizeof(TraceRecord)));
+    nextBlock = block;
+    if (!fillBuffer())
+        fatal("trace: '%s': seek into missing block", path.c_str());
+    bufferPos = static_cast<std::size_t>(n % block_records);
     consumed = n;
-}
-
-std::vector<ArchCheckpoint>
-TraceReader::checkpoints() const
-{
-    return body ? body->archCheckpoints()
-                : std::vector<ArchCheckpoint>{};
 }
 
 InstCount
 recordTrace(std::shared_ptr<const vm::Program> program,
             const std::string &path, InstCount max_insts,
-            TraceFormat format, std::uint32_t block_records)
+            std::uint32_t block_records)
 {
     obs::ProfScope prof("record");
     if (block_records == 0)
         block_records = DefaultBlockRecords;
-    TraceWriter writer(path, program->name, format, block_records);
+    TraceWriter writer(path, program->name, block_records);
     sim::Simulator simulator(std::move(program));
     v2::MemTouchDigest digest;
     sim::StepInfo step;
     InstCount n = 0;
     while (max_insts == 0 || n < max_insts) {
-        if (format == TraceFormat::V2 && n % block_records == 0 &&
-            !simulator.halted()) {
-            ArchCheckpoint cp;
-            cp.index = n;
-            cp.pc = simulator.process().pc;
-            cp.gpr = simulator.process().gpr;
-            cp.fpr = simulator.process().fpr;
-            cp.memDigest = digest.value();
-            writer.addCheckpoint(cp);
-        }
+        if (n % block_records == 0 && !simulator.halted())
+            writer.addCheckpoint(
+                captureCheckpoint(simulator, n, digest.value()));
         if (!simulator.step(step))
             break;
         writer.append(step);

@@ -9,20 +9,18 @@
  * reads sim::StepInfo, so a replayed trace is a drop-in substitute
  * for a live simulation.
  *
- * Two on-disk formats share the 64-byte header (little-endian):
- *
- *  - v1: [TraceHeader][TraceRecord * N] — 32 raw bytes per retired
- *    instruction;
- *  - v2: delta+varint records packed into CRC-guarded fixed-count
- *    blocks with a seekable footer index carrying per-block decode
- *    context and optional architectural checkpoints (format_v2.hh).
- *    Typically >=4x smaller; decodes to the bit-identical records.
+ * The on-disk format is ARLT v2 (format_v2.hh): a 64-byte header
+ * (little-endian magic, version 2, program name), then delta+varint
+ * records packed into CRC-guarded fixed-count blocks, then a seekable
+ * footer index carrying per-block decode context and optional
+ * architectural checkpoints.  Files are typically >=4x smaller than
+ * the 32-byte in-memory TraceRecords they decode to bit-identically.
  *
  * Records carry everything the profilers and predictors consume —
  * PC, the encoded instruction word (re-decoded on read), effective
  * address, region, fetch-time GBH/CID context, and produced values.
  * Traces are bit-reproducible: recording the same program twice
- * yields identical files, in either format.
+ * yields identical files.
  */
 
 #ifndef ARL_TRACE_TRACE_HH
@@ -38,28 +36,27 @@
 #include "sim/step_info.hh"
 #include "vm/program.hh"
 
+namespace arl::sim
+{
+class Simulator;
+}
+
 namespace arl::trace
 {
 
 /** File magic: "ARLT". */
 constexpr std::uint32_t TraceMagic = 0x544c5241;
-/** Format version (raw fixed-size records). */
-constexpr std::uint32_t TraceVersion = 1;
 /** Format version (delta+varint blocks + footer index). */
 constexpr std::uint32_t TraceVersionV2 = 2;
 
-/** Selectable on-disk encoding. */
+/** The on-disk encoding; v2 is the only one. */
 enum class TraceFormat : std::uint32_t
 {
-    V1 = TraceVersion,
     V2 = TraceVersionV2,
 };
 
-/** Printable name ("v1"/"v2") of @p format. */
+/** Printable name ("v2") of @p format; part of trace-cache keys. */
 const char *formatName(TraceFormat format);
-
-/** Parse "v1"/"v2" (also "1"/"2"); @return false on anything else. */
-bool parseFormat(const std::string &text, TraceFormat &out);
 
 /**
  * Records per v2 block — also the architectural-checkpoint cadence
@@ -67,6 +64,9 @@ bool parseFormat(const std::string &text, TraceFormat &out);
  * seekable block boundary.
  */
 constexpr std::uint32_t DefaultBlockRecords = 1u << 16;
+
+/** Largest v2 block size the writer emits and the reader accepts. */
+constexpr std::uint32_t MaxBlockRecords = 1u << 24;
 
 /** TraceRecord::flags bits. */
 constexpr std::uint8_t FlagTaken = 1 << 0;
@@ -149,27 +149,38 @@ struct RecordClass
 /** Classify @p record; fatal on an undecodable instruction word. */
 RecordClass classifyRecord(const TraceRecord &record);
 
+/**
+ * The architectural checkpoint of @p simulator before it executes
+ * record @p index; @p mem_digest is the v2::MemTouchDigest of records
+ * [0, index).  The one capture behind recordTrace() and
+ * recordToMemory().
+ */
+ArchCheckpoint captureCheckpoint(const sim::Simulator &simulator,
+                                 InstCount index,
+                                 std::uint64_t mem_digest);
+
 namespace v2
 {
+class Reader;
 class Writer;
 }
 
-/** Streams retired instructions to a trace file (v1 or v2). */
+/** Streams retired instructions to a trace file. */
 class TraceWriter
 {
   public:
     /**
      * Open @p path for writing and emit the header.
-     * Fatal on I/O errors (user environment problem) unless
-     * @p non_fatal is set, in which case errors — at open, append,
-     * or close time — latch ok() to false instead and the caller
-     * decides (opportunistic writers like the sweep's trace cache
-     * must not abort the run over a full disk).
-     * @param block_records v2 block size (ignored for v1).
+     * Fatal on I/O errors (user environment problem) and on a
+     * block size outside [1, MaxBlockRecords] unless @p non_fatal is
+     * set, in which case errors — at open, append, or close time —
+     * latch ok() to false instead and the caller decides
+     * (opportunistic writers like the sweep's trace cache must not
+     * abort the run over a full disk).
+     * @param block_records records per v2 block.
      */
     TraceWriter(const std::string &path, const std::string &program,
-                TraceFormat format = TraceFormat::V1,
-                std::uint32_t block_records = DefaultBlockRecords,
+                InstCount block_records = DefaultBlockRecords,
                 bool non_fatal = false);
 
     /** Append one instruction. */
@@ -179,20 +190,17 @@ class TraceWriter
     void appendRecord(const TraceRecord &record);
 
     /**
-     * Attach an architectural checkpoint (v2 only; ignored by v1).
-     * Only checkpoints whose index lands on a block boundary are
-     * persisted in the footer index.
+     * Attach an architectural checkpoint.  Only checkpoints whose
+     * index lands on a block boundary are persisted in the footer
+     * index.
      */
     void addCheckpoint(const ArchCheckpoint &checkpoint);
 
-    /** Mark the trace as covering the complete execution (v2). */
+    /** Mark the trace as covering the complete execution. */
     void setComplete(bool value) { complete = value; }
 
     /** Flush and close (also done by the destructor). */
     void close();
-
-    /** Instructions written so far. */
-    InstCount count() const { return written; }
 
     /** On-disk size; valid once close() has run. */
     std::uint64_t bytesWritten() const { return fileBytes; }
@@ -203,31 +211,27 @@ class TraceWriter
     ~TraceWriter();
 
   private:
+    /** Latch ok() to false; fatal unless the writer is non-fatal. */
+    void fail(const std::string &what);
+
     std::ofstream out;
     std::string path;
-    std::unique_ptr<v2::Writer> body;  ///< non-null for v2
-    InstCount written = 0;
+    std::unique_ptr<v2::Writer> body;  ///< null when open failed
     std::uint64_t fileBytes = 0;
     bool complete = false;
     bool nonFatal = false;
     bool failed = false;
 };
 
-namespace v2
-{
-class Reader;
-}
-
 /**
- * Reads a trace file back as a StepInfo stream.  The header version
- * is sniffed, so v1 and v2 files read identically; v2 additionally
- * supports seeking to an arbitrary record without decoding the
- * prefix beyond the containing block.
+ * Reads a trace file back as a StepInfo stream, and seeks to an
+ * arbitrary record without decoding the prefix beyond the
+ * containing block.
  */
 class TraceReader
 {
   public:
-    /** Open @p path; fatal on missing/corrupt headers. */
+    /** Open @p path; fatal on missing/corrupt files. */
     explicit TraceReader(const std::string &path);
 
     ~TraceReader();
@@ -239,52 +243,32 @@ class TraceReader
     bool next(sim::StepInfo &out);
 
     /**
-     * Read the next raw record without decoding it into a StepInfo
-     * (bulk loaders that keep the on-disk representation).
-     * @return false at end of trace.
-     */
-    bool nextRecord(TraceRecord &out);
-
-    /**
-     * Position the stream so the next record read is record @p n
-     * (v2: decodes only the containing block; v1: a file seek).
+     * Position the stream so the next record read is record @p n;
+     * decodes only the containing block.
      */
     void seek(InstCount n);
 
     /** Program name recorded in the header. */
-    const std::string &programName() const { return name; }
-
-    /** Header version of the file (1 or 2). */
-    std::uint32_t version() const { return fileVersion; }
-
-    /** Architectural checkpoints stored in the index (v2 only). */
-    std::vector<ArchCheckpoint> checkpoints() const;
-
-    /** Stream position: index of the next record to be read. */
-    InstCount count() const { return consumed; }
+    const std::string &programName() const;
 
   private:
     bool fillBuffer();
 
-    std::ifstream in;
     std::string path;
-    std::string name;
-    std::uint32_t fileVersion = TraceVersion;
-    InstCount consumed = 0;
-    std::unique_ptr<v2::Reader> body;        ///< non-null for v2
-    std::vector<TraceRecord> buffer;         ///< decoded v2 block
+    InstCount consumed = 0;  ///< index of the next record to be read
+    std::unique_ptr<v2::Reader> body;
+    std::vector<TraceRecord> buffer;  ///< decoded block
     std::size_t bufferPos = 0;
     std::size_t nextBlock = 0;
 };
 
 /**
- * Convenience: run @p program functionally and record the stream.
- * v2 traces get an architectural checkpoint at every block boundary.
+ * Convenience: run @p program functionally and stream the trace to
+ * @p path, with an architectural checkpoint at every block boundary.
  * @return instructions recorded.
  */
 InstCount recordTrace(std::shared_ptr<const vm::Program> program,
                       const std::string &path, InstCount max_insts = 0,
-                      TraceFormat format = TraceFormat::V1,
                       std::uint32_t block_records = DefaultBlockRecords);
 
 } // namespace arl::trace

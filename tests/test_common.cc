@@ -334,6 +334,32 @@ TEST(Json, ParserRejectsGarbage)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(Json, ParserBoundsNestingDepth)
+{
+    auto nested = [](std::size_t depth) {
+        return "{\"a\":" + std::string(depth, '[') +
+               std::string(depth, ']') + "}";
+    };
+    obs::JsonValue doc;
+    std::string error;
+    // Deep enough to overflow the stack without the cap: rejected
+    // with a positioned message, not a crash.
+    EXPECT_FALSE(obs::jsonParse(nested(100000), doc, &error));
+    EXPECT_NE(error.find("nesting deeper than 256 at offset"),
+              std::string::npos)
+        << error;
+    // Realistic depth still parses.
+    error.clear();
+    ASSERT_TRUE(obs::jsonParse(nested(200), doc, &error)) << error;
+    const obs::JsonValue *inner = doc.find("a");
+    for (int i = 0; i < 199; ++i) {
+        ASSERT_TRUE(inner->isArray());
+        inner = &inner->array.front();
+    }
+    EXPECT_TRUE(inner->isArray());
+    EXPECT_TRUE(inner->array.empty());
+}
+
 TEST(IntervalSampler, SamplesAtBoundariesWithDeltas)
 {
     obs::StatsRegistry reg;

@@ -289,34 +289,26 @@ TEST(Differential, SweepReportIdenticalAcrossCacheFormats)
     std::string baseline = reportJson(sweep::runSweep(spec));
     ASSERT_FALSE(baseline.empty());
 
-    std::uint64_t v1_bytes = 0, v2_bytes = 0;
-    for (trace::TraceFormat format :
-         {trace::TraceFormat::V1, trace::TraceFormat::V2}) {
-        SCOPED_TRACE(trace::formatName(format));
-        TempCacheDir cache(std::string("cache_") +
-                           trace::formatName(format));
-        sweep::SweepSpec cached = fig8SmallSpec();
-        cached.traceCacheDir = cache.dir;
-        cached.traceFormat = format;
+    TempCacheDir cache("cache_v2");
+    sweep::SweepSpec cached = fig8SmallSpec();
+    cached.traceCacheDir = cache.dir;
 
-        // Cold pass records the cache entries; warm pass replays
-        // from them.  Both must match the cache-less report.
-        sweep::SweepResult cold = sweep::runSweep(cached);
-        EXPECT_EQ(cold.traceCacheMisses, 2u);
-        EXPECT_EQ(reportJson(cold), baseline);
-        sweep::SweepResult warm = sweep::runSweep(cached);
-        EXPECT_EQ(warm.traceCacheHits, 2u);
-        EXPECT_EQ(reportJson(warm), baseline);
+    // Cold pass records the cache entries; warm pass replays from
+    // them.  Both must match the cache-less report.
+    sweep::SweepResult cold = sweep::runSweep(cached);
+    EXPECT_EQ(cold.traceCacheMisses, 2u);
+    EXPECT_EQ(reportJson(cold), baseline);
+    sweep::SweepResult warm = sweep::runSweep(cached);
+    EXPECT_EQ(warm.traceCacheHits, 2u);
+    EXPECT_EQ(reportJson(warm), baseline);
 
-        (format == trace::TraceFormat::V1 ? v1_bytes : v2_bytes) =
-            directoryBytes(cache.dir);
-    }
-    // The headline claim: v2 is at least 4x smaller than v1 on the
-    // same fig8 small grid.
+    // The headline claim: the cache is at least 4x smaller than the
+    // raw 32-byte records on the same fig8 small grid.
+    const std::uint64_t v2_bytes = directoryBytes(cache.dir);
     ASSERT_GT(v2_bytes, 0u);
-    EXPECT_GE(v1_bytes, 4 * v2_bytes)
-        << "v2 compression regressed: v1 " << v1_bytes << "B vs v2 "
-        << v2_bytes << "B";
+    EXPECT_GE(cold.traceV1EquivBytes, 4 * v2_bytes)
+        << "v2 compression regressed: raw " << cold.traceV1EquivBytes
+        << "B vs v2 " << v2_bytes << "B";
 }
 
 TEST(Differential, SeekFastForwardIdenticalToFunctional)

@@ -300,7 +300,6 @@ TEST(Golden, Fig8V2SeekFastForwardSweepReport)
     // v2 encode/decode, checkpoint capture, ReplaySource::seekTo,
     // and bounded warming.
     sweep::SweepSpec spec = goldenSpec();
-    spec.traceFormat = trace::TraceFormat::V2;
     spec.seekFastForward = true;
     spec.checkpointEvery = 1024;
     for (auto &w : spec.workloads)
@@ -466,8 +465,7 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
     // index, trailer — shows up as a byte diff here before it can
     // silently invalidate cached traces in the wild.
     const std::string tmp = ::testing::TempDir() + "arl_v2_fixture.arlt";
-    InstCount n = trace::recordTrace(fixtureProgram(), tmp, 0,
-                                     trace::TraceFormat::V2, 256);
+    InstCount n = trace::recordTrace(fixtureProgram(), tmp, 0, 256);
     ASSERT_GT(n, 500u);
 
     std::ifstream in(tmp, std::ios::binary);
@@ -484,7 +482,6 @@ TEST(Golden, V2TraceFixtureEncodingPinned)
     // And the committed fixture itself must still decode: guards
     // against a reader change that would orphan existing files.
     trace::TraceReader reader(goldenPath(kTraceFixture));
-    EXPECT_EQ(reader.version(), trace::TraceVersionV2);
     EXPECT_EQ(reader.programName(), "v2_fixture");
     sim::StepInfo step;
     InstCount decoded = 0;

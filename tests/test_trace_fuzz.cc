@@ -6,9 +6,9 @@
  *    streams take the delta paths, garbage records take the escape
  *    path, and both round-trip bit-exactly;
  *  - seeded random *runnable* programs (bounded loops, masked memory
- *    accesses) record to v1 and v2 and replay record-for-record
- *    identically, and seek(n) is equivalent to skipping n records in
- *    both formats;
+ *    accesses) record to v2 files that replay record-for-record
+ *    identically to the raw in-memory recording, and seek(n) is
+ *    equivalent to skipping n records;
  *  - >=1000 seeded corruptions of a valid v2 file (truncations, bit
  *    and byte flips, zeroed ranges, wrong magic/version, zero-length)
  *    never crash the non-fatal loader: every case either loads a
@@ -221,8 +221,10 @@ buildRandomRunnable(std::uint64_t seed)
     return b.finish();
 }
 
+/** Any two of TraceReader / ReplaySource deliver the same steps. */
+template <typename A, typename B>
 void
-expectRecordStreamsEqual(trace::TraceReader &a, trace::TraceReader &b)
+expectRecordStreamsEqual(A &a, B &b)
 {
     sim::StepInfo step_a, step_b;
     InstCount index = 0;
@@ -344,41 +346,38 @@ TEST_F(TraceFuzz, RandomRunnableProgramsRoundTripAcrossFormats)
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
         SCOPED_TRACE("program seed " + std::to_string(seed));
         auto prog = buildRandomRunnable(seed);
-        std::string v2_path = path + ".v2";
-        InstCount n1 = trace::recordTrace(prog, path, 0,
-                                          trace::TraceFormat::V1);
-        InstCount n2 = trace::recordTrace(
-            prog, v2_path, 0, trace::TraceFormat::V2, 64);
-        ASSERT_EQ(n1, n2);
-        ASSERT_GT(n1, 100u);
+        // Reference: the raw records, never encoded.
+        auto raw = trace::recordToMemory(prog, 0, 0);
+        InstCount n = trace::recordTrace(prog, path, 0, 64);
+        ASSERT_EQ(n, raw->size());
+        ASSERT_GT(n, 100u);
 
         {
-            trace::TraceReader v1(path);
-            trace::TraceReader v2(v2_path);
-            EXPECT_EQ(v1.version(), trace::TraceVersion);
-            EXPECT_EQ(v2.version(), trace::TraceVersionV2);
-            expectRecordStreamsEqual(v1, v2);
+            trace::ReplaySource reference(raw);
+            trace::TraceReader file(path);
+            expectRecordStreamsEqual(reference, file);
         }
 
-        // seek(n) == skip n records, for both formats, at random
-        // positions (plus the boundaries).
+        // seek(n) == skip n records == the reference seeked, at
+        // random positions (plus the boundaries).
         Rng rng(0x5ee4 ^ seed);
-        InstCount positions[5] = {0, n1 - 1, n1,
-                                  rng.nextBounded(n1),
-                                  rng.nextBounded(n1)};
-        for (InstCount n : positions) {
-            SCOPED_TRACE("seek " + std::to_string(n));
-            for (const std::string &p : {path, v2_path}) {
-                trace::TraceReader skipper(p);
-                sim::StepInfo step;
-                for (InstCount i = 0; i < n; ++i)
-                    ASSERT_TRUE(skipper.next(step));
-                trace::TraceReader seeker(p);
-                seeker.seek(n);
-                expectRecordStreamsEqual(skipper, seeker);
-            }
+        InstCount positions[5] = {0, n - 1, n, rng.nextBounded(n),
+                                  rng.nextBounded(n)};
+        for (InstCount at : positions) {
+            SCOPED_TRACE("seek " + std::to_string(at));
+            trace::TraceReader skipper(path);
+            sim::StepInfo step;
+            for (InstCount i = 0; i < at; ++i)
+                ASSERT_TRUE(skipper.next(step));
+            trace::TraceReader seeker(path);
+            seeker.seek(at);
+            expectRecordStreamsEqual(skipper, seeker);
+            trace::TraceReader file(path);
+            file.seek(at);
+            trace::ReplaySource reference(raw);
+            reference.seekTo(at);
+            expectRecordStreamsEqual(reference, file);
         }
-        std::remove(v2_path.c_str());
     }
 }
 
@@ -386,7 +385,7 @@ TEST_F(TraceFuzz, SeededCorruptionsNeverCrashTheLoader)
 {
     auto prog = workloads::buildWorkload("li_like", 1);
     auto trace_mem = trace::recordToMemory(prog, 20000, 1024);
-    trace::saveTrace(path, *trace_mem, trace::TraceFormat::V2);
+    trace::saveTrace(path, *trace_mem);
     const std::string pristine = readFileBytes(path);
     ASSERT_GT(pristine.size(), 1000u);
 
@@ -474,14 +473,19 @@ TEST_F(TraceFuzz, DegenerateFilesRejectCleanly)
     // Wrong magic.
     writeFileBytes(path, std::string(256, 'x'));
     EXPECT_EQ(trace::loadTrace(path), nullptr);
-    // Valid v1 header claiming an unsupported version.
+    // Valid files claiming an unsupported version: a future one and
+    // the retired raw-record v1.
     auto prog = workloads::buildWorkload("go_like", 1);
-    trace::recordTrace(prog, path, 64, trace::TraceFormat::V1);
-    std::string bytes = readFileBytes(path);
-    std::uint32_t bogus_version = 99;
-    std::memcpy(&bytes[4], &bogus_version, sizeof(bogus_version));
-    writeFileBytes(path, bytes);
-    EXPECT_EQ(trace::loadTrace(path), nullptr);
+    trace::recordTrace(prog, path, 64);
+    const std::string valid = readFileBytes(path);
+    ASSERT_NE(trace::loadTrace(path), nullptr);
+    for (std::uint32_t version : {99u, 1u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::string bytes = valid;
+        std::memcpy(&bytes[4], &version, sizeof(version));
+        writeFileBytes(path, bytes);
+        EXPECT_EQ(trace::loadTrace(path), nullptr);
+    }
     // Nonexistent path.
     std::remove(path.c_str());
     EXPECT_EQ(trace::loadTrace(path), nullptr);

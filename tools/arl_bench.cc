@@ -437,8 +437,7 @@ benchTraceCodec()
     auto program = workloads::buildWorkload("go_like", 1);
     auto recorded = trace::recordToMemory(program, kCodecInsts,
                                           trace::DefaultBlockRecords);
-    std::uint64_t bytes =
-        trace::saveTrace(path, *recorded, trace::TraceFormat::V2);
+    std::uint64_t bytes = trace::saveTrace(path, *recorded);
     trace::TraceLoadStats load_stats;
     auto loaded = trace::loadTrace(path, &load_stats);
     std::remove(path.c_str());

@@ -41,9 +41,8 @@
  *       diffs on stderr).
  *
  *   arl_sim sweep <workload[,workload...]|all|none> [--jobs N]
- *       [--trace-cache DIR] [--trace-format v1|v2]
- *       [--seek-ff] [--warmup-window N] [--checkpoint-every N]
- *       [--configs fig8|"(N+M),..."|none]
+ *       [--trace-cache DIR] [--seek-ff] [--warmup-window N]
+ *       [--checkpoint-every N] [--configs fig8|"(N+M),..."|none]
  *       [--schemes fig4|none] [--insts N] [--study-insts N] [--scale N]
  *       [--timing-json F] [--workload-dir DIR]
  *       The parallel sweep engine: trace each workload once, replay
@@ -856,6 +855,23 @@ const std::vector<FlagSpec> kSamplingFlags = {
 };
 
 /**
+ * Read a block-size flag (--block-records, --checkpoint-every) into
+ * @p out.  @return 0, or 1 (message printed) above
+ * trace::MaxBlockRecords, which no trace file may exceed.
+ */
+int
+parseBlockFlag(const Args &args, const char *name, InstCount &out)
+{
+    out = static_cast<InstCount>(args.flagInt(name, 0));
+    if (out <= trace::MaxBlockRecords)
+        return 0;
+    std::fprintf(stderr, "arl_sim: --%s %llu exceeds the trace block "
+                 "limit of %u records\n", name, (unsigned long long)out,
+                 trace::MaxBlockRecords);
+    return 1;
+}
+
+/**
  * Fill @p spec's phase-sampling knobs from @p args.
  * @return 0 on success, 1 (message printed) on a bad combination.
  */
@@ -1144,7 +1160,6 @@ cmdSweep(const std::string &target, Args &args)
     std::vector<FlagSpec> accepted = {
         {"jobs", FlagKind::Int},
         {"trace-cache", FlagKind::String},
-        {"trace-format", FlagKind::String},
         {"seek-ff", FlagKind::Bool},
         {"warmup-window", FlagKind::Int},
         {"checkpoint-every", FlagKind::Int},
@@ -1173,19 +1188,13 @@ cmdSweep(const std::string &target, Args &args)
     sweep::SweepSpec spec;
     spec.jobs = static_cast<unsigned>(args.flagInt("jobs", 1));
     spec.traceCacheDir = args.flag("trace-cache", "");
-    std::string format_spec = args.flag("trace-format", "v2");
-    if (!trace::parseFormat(format_spec, spec.traceFormat)) {
-        std::fprintf(stderr,
-                     "arl_sim: bad --trace-format '%s' (want v1|v2)\n",
-                     format_spec.c_str());
-        return 1;
-    }
     spec.seekFastForward = args.has("seek-ff");
     spec.cpiStack = args.has("cpi-stack");
     if (int rc = parseSamplingFlags(args, spec))
         return rc;
-    spec.checkpointEvery = static_cast<InstCount>(
-        args.flagInt("checkpoint-every", 0));
+    if (int rc = parseBlockFlag(args, "checkpoint-every",
+                                spec.checkpointEvery))
+        return rc;
     // --seek-ff needs a bounded warming window to have a prefix to
     // skip; default to one checkpoint block when not given.
     auto warmup_window =
@@ -1444,27 +1453,20 @@ int
 cmdRecord(const std::string &target, Args &args)
 {
     args.parse({{"out", FlagKind::String},
-                {"trace-format", FlagKind::String},
                 {"block-records", FlagKind::Int},
                 {"max-insts", FlagKind::Int},
                 {"scale", FlagKind::Int}});
     ObsOptions opts = ObsOptions::parse(args);
     std::string out_path = args.flag("out", target + ".trace");
-    trace::TraceFormat format = trace::TraceFormat::V2;
-    std::string format_spec = args.flag("trace-format", "v2");
-    if (!trace::parseFormat(format_spec, format)) {
-        std::fprintf(stderr,
-                     "arl_sim: bad --trace-format '%s' (want v1|v2)\n",
-                     format_spec.c_str());
-        return 1;
-    }
+    InstCount block_records = 0;
+    if (int rc = parseBlockFlag(args, "block-records", block_records))
+        return rc;
     auto prog = loadTarget(target,
                            static_cast<unsigned>(args.flagInt("scale", 1)));
     InstCount n = trace::recordTrace(
         prog, out_path,
-        static_cast<InstCount>(args.flagInt("max-insts", 0)), format,
-        static_cast<std::uint32_t>(args.flagInt(
-            "block-records", trace::DefaultBlockRecords)));
+        static_cast<InstCount>(args.flagInt("max-insts", 0)),
+        static_cast<std::uint32_t>(block_records));
     std::uint64_t bytes = 0;
     {
         std::ifstream probe(out_path,
@@ -1475,10 +1477,9 @@ cmdRecord(const std::string &target, Args &args)
     const std::uint64_t v1_bytes = 64 + 32 * n;
     if (!quietOutput())
         std::printf("recorded %llu instructions of %s to %s "
-                    "(%s, %.1f MB, %.2fx vs v1)\n",
+                    "(v2, %.1f MB, %.2fx vs v1)\n",
                     (unsigned long long)n, prog->name.c_str(),
-                    out_path.c_str(), trace::formatName(format),
-                    bytes / 1e6,
+                    out_path.c_str(), bytes / 1e6,
                     bytes ? static_cast<double>(v1_bytes) / bytes
                           : 0.0);
 
@@ -1555,8 +1556,8 @@ cmdReplay(const std::string &trace_path, Args &args)
     }
     auto profile = profiler.profile();
     if (!quietOutput()) {
-        std::printf("trace      : %s (%s, v%u)\n", trace_path.c_str(),
-                    reader.programName().c_str(), reader.version());
+        std::printf("trace      : %s (%s, v2)\n", trace_path.c_str(),
+                    reader.programName().c_str());
         std::printf("instructions: %llu (loads %llu, stores %llu)\n",
                     (unsigned long long)profile.totalInstructions,
                     (unsigned long long)profile.dynamicLoads,
@@ -2250,15 +2251,15 @@ usage()
         "  sweep <w[,w...]|all|none> [flags] parallel experiment sweep\n"
         "    [--jobs N] [--trace-cache DIR] [--configs fig8|\"(N+M),..\"]\n"
         "    [--schemes fig4] [--insts N] [--study-insts N]\n"
-        "    [--trace-format v1|v2] [--seek-ff] [--warmup-window N]\n"
-        "    [--checkpoint-every N] [--timing-json F]\n"
+        "    [--seek-ff] [--warmup-window N] [--checkpoint-every N]\n"
+        "    [--timing-json F]\n"
         "    [--workload-dir DIR]  add corpus .s programs as workload\n"
         "                          rows (target 'none' = corpus only)\n"
         "  grade <dir>                  conformance-grade a corpus dir\n"
         "    assemble + run every .s against its sidecar manifest;\n"
         "    exit 0 all pass, 1 unusable dir, 2 conformance failures\n"
         "  record <target> [--out F]    record a binary trace\n"
-        "    [--trace-format v1|v2] [--block-records N] [--max-insts N]\n"
+        "    [--block-records N] [--max-insts N]\n"
         "  replay <file.trace> [--seek N]  profile from a trace\n"
         "  monitor <file.jsonl>         render a --telemetry stream as\n"
         "    [--follow] [--refresh-ms N]  a progress table (live with\n"
