@@ -7,14 +7,59 @@
 namespace arl::obs
 {
 
+std::uint64_t
+IntervalClock::schedule()
+{
+    next = sampler ? sampler->due() : kNever;
+    if (telemetry && !heartbeatsMuted && telemetry->due() < next)
+        next = telemetry->due();
+    return next;
+}
+
+std::uint64_t
+IntervalClock::arm(std::uint64_t insts)
+{
+    if (telemetry)
+        telemetry->arm(insts);
+    return schedule();
+}
+
+std::uint64_t
+IntervalClock::beat(const TelemetryFrame &frame)
+{
+    if (sampler)
+        sampler->tick(frame.insts);
+    if (telemetry && !heartbeatsMuted && frame.insts >= telemetry->due())
+        telemetry->check(frame);
+    return schedule();
+}
+
 void
 Hooks::startSampling()
 {
-    if (intervalEvery == 0 || sampler)
+    if (intervalEvery == 0 || clock.sampler)
         return;
-    sampler = std::make_unique<IntervalSampler>(registry, intervalEvery);
-    if (intervalStream)
-        sampler->setStream(intervalStream);
+    clock.sampler = std::make_unique<IntervalSampler>(
+        registry, intervalEvery, intervalStream);
+}
+
+void
+Hooks::startTelemetry(TelemetryChannel *channel, int job,
+                      std::string workload, std::string config, int rep,
+                      std::uint64_t total_insts)
+{
+    if (channel)
+        clock.telemetry = std::make_unique<TelemetryScope>(
+            channel, job, std::move(workload), std::move(config), rep,
+            total_insts);
+}
+
+void
+Hooks::finishTelemetry(std::uint64_t insts, std::uint64_t cycles)
+{
+    if (clock.telemetry)
+        clock.telemetry->done(insts, cycles);
+    clock.telemetry.reset();
 }
 
 bool
@@ -48,8 +93,8 @@ Hooks::finishChromeTrace(const std::string &process_name)
 {
     if (!chrome)
         return;
-    if (sampler)
-        chrome->counterTracks(*sampler);
+    if (clock.sampler)
+        chrome->counterTracks(*clock.sampler);
     chrome->finish(process_name);
     chrome.reset();
     chromeFile.reset();

@@ -21,11 +21,12 @@ RunRecord::fromHooks(const std::string &workload, const std::string &config,
     // A streaming sampler keeps no rows in memory; its samples are
     // already on disk, so the report omits the intervals section
     // (every == 0) rather than serializing empty arrays.
-    if (hooks.sampler && !hooks.sampler->streaming()) {
-        record.intervals.every = hooks.sampler->every();
-        record.intervals.names = hooks.sampler->names();
-        record.intervals.samples = hooks.sampler->samples();
-        record.intervals.deltas = hooks.sampler->deltas();
+    if (const IntervalSampler *sampler = hooks.clock.sampler.get();
+        sampler && !sampler->streaming()) {
+        record.intervals.every = sampler->every();
+        record.intervals.names = sampler->names();
+        record.intervals.samples = sampler->samples();
+        record.intervals.deltas = sampler->deltas();
     }
     return record;
 }

@@ -9,14 +9,21 @@ namespace arl::obs
 {
 
 IntervalSampler::IntervalSampler(const StatsRegistry &reg,
-                                 std::uint64_t every)
-    : registry(reg), interval(every), nextAt(every)
+                                 std::uint64_t every, std::ostream *os)
+    : registry(reg), interval(every), nextAt(every), stream(os)
 {
     ARL_ASSERT(every > 0, "zero sampling interval");
     for (auto &[name, value] : registry.snapshot()) {
         statNames.push_back(name);
         base.push_back(value);
     }
+    if (!stream)
+        return;
+    *stream << "at";
+    for (const std::string &name : statNames)
+        *stream << ',' << name;
+    *stream << '\n';
+    stream->flush();
 }
 
 std::vector<double>
@@ -39,47 +46,31 @@ IntervalSampler::sampleValues() const
 }
 
 void
-IntervalSampler::setStream(std::ostream *os)
-{
-    ARL_ASSERT(taken.empty(), "cannot switch to streaming mid-run");
-    stream = os;
-    if (!stream)
-        return;
-    *stream << "at";
-    for (const std::string &name : statNames)
-        *stream << ',' << name;
-    *stream << '\n';
-    stream->flush();
-}
-
-void
 IntervalSampler::capture(std::uint64_t committed)
 {
     if (stream) {
         // Streaming sink: one row per sample, flushed immediately so
         // a long run is observable (and crash-durable) as it goes;
         // nothing accumulates in memory.
-        std::vector<double> values = sampleValues();
         *stream << committed;
-        for (double v : values)
+        for (double v : sampleValues())
             *stream << ',' << jsonNumber(v);
         *stream << '\n';
         stream->flush();
-        lastStreamedAt = committed;
-        return;
+    } else {
+        taken.push_back({committed, sampleValues()});
     }
-    taken.push_back({committed, sampleValues()});
+    lastAt = committed;
+    // One sample per crossing even when several boundaries were
+    // passed at once (e.g. a batched commit burst).
+    nextAt = (committed / interval + 1) * interval;
 }
 
 void
 IntervalSampler::tick(std::uint64_t committed)
 {
-    if (committed < nextAt)
-        return;
-    capture(committed);
-    // One sample per crossing even when several boundaries were
-    // passed at once (e.g. a batched commit burst).
-    nextAt = (committed / interval + 1) * interval;
+    if (committed >= nextAt)
+        capture(committed);
 }
 
 void
@@ -88,14 +79,8 @@ IntervalSampler::flush(std::uint64_t committed)
     // Only sample when there is progress past the last row; a run
     // whose length is an exact multiple of the interval already has
     // its final row from tick().
-    if (committed == 0)
-        return;
-    std::uint64_t lastAt =
-        stream ? lastStreamedAt : (taken.empty() ? 0 : taken.back().at);
-    if (lastAt >= committed)
-        return;
-    capture(committed);
-    nextAt = (committed / interval + 1) * interval;
+    if (committed > lastAt)
+        capture(committed);
 }
 
 std::vector<IntervalSampler::Sample>

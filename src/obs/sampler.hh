@@ -25,7 +25,8 @@ namespace arl::obs
  * The leaf-name list is frozen at construction (stats registered
  * later are not sampled), as is a baseline snapshot so deltas are
  * relative to the sampling start (e.g. after cache warmup), not to
- * zero.  tick() is cheap when no boundary was crossed.
+ * zero.  The sampler is a sink of the run's IntervalClock (hooks.hh),
+ * which calls tick() only once due() is reached.
  */
 class IntervalSampler
 {
@@ -40,18 +41,16 @@ class IntervalSampler
     /**
      * @param registry sampled registry; must outlive the sampler.
      * @param every    sampling period in committed instructions (>0).
+     * @param stream   optional streaming sink, which must outlive the
+     *        sampler: every sample is written to it as a CSV row
+     *        ("at,<value>,...", header emitted immediately) instead
+     *        of accumulating in memory, so a 100 M-instruction run
+     *        holds O(1) sampler state.  samples()/deltas() stay
+     *        empty; the serialized report omits its "intervals"
+     *        section.
      */
-    IntervalSampler(const StatsRegistry &registry, std::uint64_t every);
-
-    /**
-     * Attach a streaming sink: every sample is written to @p os as a
-     * CSV row ("at,<value>,...", header emitted immediately) instead
-     * of accumulating in memory, so a 100 M-instruction run holds
-     * O(1) sampler state.  samples()/deltas() stay empty; the
-     * serialized report omits its "intervals" section.  The stream
-     * must outlive the sampler.
-     */
-    void setStream(std::ostream *os);
+    IntervalSampler(const StatsRegistry &registry, std::uint64_t every,
+                    std::ostream *stream = nullptr);
 
     /** True when a streaming sink is attached. */
     bool streaming() const { return stream != nullptr; }
@@ -61,6 +60,9 @@ class IntervalSampler
      * when the next boundary has been reached or passed.
      */
     void tick(std::uint64_t committed);
+
+    /** The next aligned boundary: the count at which tick() samples. */
+    std::uint64_t due() const { return nextAt; }
 
     /**
      * End-of-run flush: capture the final partial interval (if any
@@ -100,7 +102,7 @@ class IntervalSampler
     std::vector<double> base;
     std::vector<Sample> taken;
     std::ostream *stream = nullptr;
-    std::uint64_t lastStreamedAt = 0;
+    std::uint64_t lastAt = 0; ///< `at` of the last row captured
 };
 
 } // namespace arl::obs

@@ -250,8 +250,7 @@ TelemetryChannel::emitFinal(std::uint64_t totalInsts)
 }
 
 void
-TelemetryChannel::emitHeartbeat(std::uint64_t seq, int job,
-                                const std::string &workload,
+TelemetryChannel::emitHeartbeat(int job, const std::string &workload,
                                 const std::string &config, int rep,
                                 const TelemetryFrame &cum,
                                 const TelemetryFrame &delta,
@@ -260,6 +259,8 @@ TelemetryChannel::emitHeartbeat(std::uint64_t seq, int job,
                                 std::uint64_t totalInsts)
 {
     jobStarted(job); // refresh the watchdog timestamp
+    const std::uint64_t seq =
+        seqCounter.fetch_add(1, std::memory_order_relaxed) + 1;
     double ipc = delta.cycles
                      ? static_cast<double>(delta.insts) / delta.cycles
                      : 0.0;
@@ -340,34 +341,23 @@ TelemetryScope::TelemetryScope(TelemetryChannel *channel, int job_,
     subInterval = chan->intervalInsts() ? chan->intervalInsts() : 65536;
     if (chan->intervalWallMs() && subInterval > 65536)
         subInterval = 65536;
-}
-
-void
-TelemetryScope::start()
-{
     startMs = chan->nowMs();
     lastMs = startMs;
-    last = TelemetryFrame{};
     chan->emitJobStart(job, workload, config, rep, totalInsts);
 }
 
-std::uint64_t
-TelemetryScope::firstCheckAt(std::uint64_t insts) const
-{
-    return insts + subInterval;
-}
-
-std::uint64_t
+void
 TelemetryScope::check(const TelemetryFrame &frame)
 {
     std::uint64_t now = chan->nowMs();
+    arm(frame.insts);
     if (frame.insts < last.insts) {
         // Counter epoch change (a stats fence between detailed
         // warmup and the timed window): re-base without emitting so
         // the next delta never underflows.
         last = frame;
         lastMs = now;
-        return frame.insts + subInterval;
+        return;
     }
     bool instDue = chan->intervalInsts() &&
                    frame.insts >= last.insts + chan->intervalInsts();
@@ -375,7 +365,6 @@ TelemetryScope::check(const TelemetryFrame &frame)
                    now >= lastMs + chan->intervalWallMs();
     if (instDue || wallDue)
         beat(frame, now);
-    return frame.insts + subInterval;
 }
 
 void
@@ -393,8 +382,7 @@ TelemetryScope::beat(const TelemetryFrame &frame, std::uint64_t nowMs)
     delta.contentionStalls = frame.contentionStalls - last.contentionStalls;
     std::uint64_t deltaWall = nowMs > lastMs ? nowMs - lastMs : 0;
     std::uint64_t sinceStart = nowMs > startMs ? nowMs - startMs : 0;
-    seq = chan->nextSeq();
-    chan->emitHeartbeat(seq, job, workload, config, rep, frame, delta,
+    chan->emitHeartbeat(job, workload, config, rep, frame, delta,
                         sinceStart, deltaWall, totalInsts);
     last = frame;
     lastMs = nowMs;

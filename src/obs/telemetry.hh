@@ -13,9 +13,10 @@
  * Layering: a TelemetryChannel is one output file shared by every
  * job of a run; a TelemetryScope binds the channel to one job
  * (workload, config, optional sampling representative) and computes
- * the per-interval rates.  The core's run loop only touches the
- * scope, and only when the cached telemetryActive flag is set, so a
- * disabled channel costs a single short-circuited branch per cycle.
+ * the per-interval rates.  The scope is a sink of the run's
+ * IntervalClock (obs::Hooks owns both), so no pass ever touches it
+ * directly: a pass compares one threshold per step and the clock
+ * calls check() when the scope is due.
  */
 
 #ifndef ARL_OBS_TELEMETRY_HH
@@ -151,25 +152,20 @@ class TelemetryChannel
      */
     void dumpBlackBox(int signo);
 
-    /** @name Internal: used by TelemetryScope. */
-    ///@{
-    void emitHeartbeat(std::uint64_t seq, int job,
-                       const std::string &workload,
+    /** Heartbeat record of one TelemetryScope; numbers it in `seq`. */
+    void emitHeartbeat(int job, const std::string &workload,
                        const std::string &config, int rep,
                        const TelemetryFrame &cum,
                        const TelemetryFrame &delta, std::uint64_t wallMs,
                        std::uint64_t deltaWallMs,
                        std::uint64_t totalInsts);
-    std::uint64_t nextSeq()
-    {
-        return seqCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    void jobStarted(int job);
-    void jobFinished(int job);
-    ///@}
 
   private:
     TelemetryChannel(int fd, const TelemetryOptions &opt);
+
+    /** Watchdog bookkeeping behind msSinceBeat(). */
+    void jobStarted(int job);
+    void jobFinished(int job);
 
     /** Format + single write() + ring copy; counts records/bytes. */
     void emitLine(const char *line, std::size_t len);
@@ -202,13 +198,15 @@ class TelemetryChannel
 
 /**
  * Per-job view of a channel: computes interval deltas, IPC,
- * guest-MIPS and ETA, and tells the core when to check next.  Not
- * thread-safe; one scope per job, used by that job's thread only.
+ * guest-MIPS and ETA, and keeps its own due count for the interval
+ * clock.  Not thread-safe; one scope per job, used by that job's
+ * thread only.
  */
 class TelemetryScope
 {
   public:
     /**
+     * Emit the job-start record and start the rate clock.
      * @param rep        sampling-representative index, -1 for exact.
      * @param totalInsts instruction target for %-progress/ETA
      *                   (0 = unknown; ETA omitted).
@@ -217,24 +215,21 @@ class TelemetryScope
                    std::string workload, std::string config, int rep,
                    std::uint64_t totalInsts);
 
-    /** Emit the job-start record and start the rate clock. */
-    void start();
-
     /**
-     * Interval check from the core: emits a heartbeat when the
-     * instruction or wall-clock trigger fired.
-     * @return the committed-instruction count at which the core
-     *         should call again (cached as telemetryNext).
+     * Interval check: emits a heartbeat when the instruction or
+     * wall-clock trigger fired, and re-arms due() one sub-interval
+     * past @p frame.
      */
-    std::uint64_t check(const TelemetryFrame &frame);
+    void check(const TelemetryFrame &frame);
 
-    /** First check threshold for a core starting at @p insts. */
-    std::uint64_t firstCheckAt(std::uint64_t insts) const;
+    /** Re-arm due() for a pass starting at @p insts. */
+    void arm(std::uint64_t insts) { nextCheck = insts + subInterval; }
+
+    /** Committed-instruction count of the next check. */
+    std::uint64_t due() const { return nextCheck; }
 
     /** Emit the job-done record. */
     void done(std::uint64_t insts, std::uint64_t cycles);
-
-    TelemetryChannel *channel() const { return chan; }
 
   private:
     void beat(const TelemetryFrame &frame, std::uint64_t nowMs);
@@ -249,8 +244,8 @@ class TelemetryScope
     std::uint64_t startMs = 0;
     std::uint64_t lastMs = 0;
     TelemetryFrame last;
-    std::uint64_t seq = 0;
     std::uint64_t subInterval = 0;
+    std::uint64_t nextCheck = 0;
 };
 
 } // namespace arl::obs

@@ -126,22 +126,22 @@ OooCore::traceSlow(obs::PipeEvent ev, std::int32_t slot,
 }
 
 void
-OooCore::telemetryBeat()
+OooCore::obsBeat()
 {
-    obs::TelemetryFrame frame;
-    frame.insts = stats.instructions;
-    frame.cycles = now - cycleBase;
-    frame.loads = stats.loads;
-    frame.stores = stats.stores;
-    frame.refsData = stats.regionRefs[0];
-    frame.refsHeap = stats.regionRefs[1];
-    frame.refsStack = stats.regionRefs[2];
-    frame.lvaqSteered = stats.lvaqSteered;
-    frame.contentionStalls =
-        stats.portStallsLoad[0] + stats.portStallsLoad[1] +
-        stats.portStallsStoreCommit[0] + stats.portStallsStoreCommit[1] +
-        stats.tlbMissCycles;
-    telemetryNext = obsHooks->telemetry->check(frame);
+    obsNext = obsHooks->clock.beat(
+        {.insts = stats.instructions,
+         .cycles = now - cycleBase,
+         .loads = stats.loads,
+         .stores = stats.stores,
+         .refsData = stats.regionRefs[0],
+         .refsHeap = stats.regionRefs[1],
+         .refsStack = stats.regionRefs[2],
+         .lvaqSteered = stats.lvaqSteered,
+         .contentionStalls = stats.portStallsLoad[0] +
+                             stats.portStallsLoad[1] +
+                             stats.portStallsStoreCommit[0] +
+                             stats.portStallsStoreCommit[1] +
+                             stats.tlbMissCycles});
 }
 
 void
@@ -1189,18 +1189,16 @@ OooStats
 OooCore::runSample(InstCount insts, InstCount detail_warmup)
 {
     if (detail_warmup) {
-        // Telemetry stays quiet through the detailed warmup: the
+        // Heartbeats stay quiet through the detailed warmup: the
         // stats fence below resets the instruction counter, and a
         // heartbeat straddling it would report a non-monotone
         // cumulative count for the job.
-        obs::TelemetryScope *saved_telemetry =
-            obsHooks ? obsHooks->telemetry : nullptr;
         if (obsHooks)
-            obsHooks->telemetry = nullptr;
+            obsHooks->clock.heartbeatsMuted = true;
         commitTarget = stats.instructions + detail_warmup;
         run(0);
         if (obsHooks)
-            obsHooks->telemetry = saved_telemetry;
+            obsHooks->clock.heartbeatsMuted = false;
         statsFence();
     }
     commitTarget = insts ? stats.instructions + insts : 0;
@@ -1231,10 +1229,8 @@ OooCore::run(InstCount max_insts)
     tracingActive = obsHooks &&
                     (obsHooks->tracer != nullptr ||
                      obsHooks->chrome != nullptr);
-    telemetryActive = obsHooks && obsHooks->telemetry != nullptr;
-    if (telemetryActive)
-        telemetryNext =
-            obsHooks->telemetry->firstCheckAt(stats.instructions);
+    obsNext = obsHooks ? obsHooks->clock.arm(stats.instructions)
+                       : obs::IntervalClock::kNever;
     Cycle deadlock_guard = 0;
     InstCount last_committed = 0;
 
@@ -1252,11 +1248,8 @@ OooCore::run(InstCount max_insts)
         issueStage();
         dispatchStage();
         commitStage();
-        if (obsHooks)
-            obsHooks->tick(stats.instructions);
-        if (telemetryActive && stats.instructions >= telemetryNext)
-            [[unlikely]]
-            telemetryBeat();
+        if (stats.instructions >= obsNext) [[unlikely]]
+            obsBeat();
 
         // Per-cycle stall attribution: exactly one cause per cycle,
         // so the stack sums to total cycles by construction.

@@ -290,9 +290,10 @@ class OooCore
      * Attach an observability context: registers every stat of this
      * core (and its caches, TLB, and ARPT) into @p hooks->registry
      * under the ooo. / cache. / predict. hierarchies, and enables
-     * interval sampling ticks plus pipeline-trace events when the
-     * hooks carry a sampler/tracer.  Call before run(); @p hooks must
-     * outlive the core.  Pass nullptr to detach.
+     * pipeline-trace events when the hooks carry a tracer.  Every
+     * run() then arms the hooks' interval clock and beats it when its
+     * sampler or telemetry scope is due.  Call before run(); @p hooks
+     * must outlive the core.  Pass nullptr to detach.
      */
     void attachObs(obs::Hooks *hooks);
 
@@ -462,9 +463,8 @@ class OooCore
     void traceSlow(obs::PipeEvent ev, std::int32_t slot,
                    const char *detail);
 
-    /** Telemetry interval check (cold path; see run()'s cached
-     *  telemetryActive/telemetryNext guard). */
-    void telemetryBeat();
+    /** Interval-clock beat (cold path; see run()'s obsNext guard). */
+    void obsBeat();
 
     /**
      * Attribute one zero-commit cycle to a StallCause, driven by the
@@ -670,12 +670,10 @@ class OooCore
     bool cpiEnabled = false;
     /** A pipeline/Chrome tracer is attached (cached; see trace()). */
     bool tracingActive = false;
-    /** A telemetry scope is attached (cached at run() entry, same
-     *  pattern as tracingActive: disabled telemetry is one
-     *  short-circuited branch per cycle). */
-    bool telemetryActive = false;
-    /** Committed-instruction count of the next telemetry check. */
-    InstCount telemetryNext = 0;
+    /** The hooks' interval-clock threshold, cached at run() entry
+     *  and after every beat: the loop's only interval compare, never
+     *  reached without hooks or without a due sink. */
+    InstCount obsNext = UINT64_MAX;
     WorkCounters work;
 };
 

@@ -514,16 +514,13 @@ runSweep(const SweepSpec &spec)
             if (exact)
                 hooks.intervalEvery = spec.intervalEvery;
             core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
             if (spec.telemetry) {
                 std::uint64_t total = w.timed;
                 if (!total && trace_handle->size() > w.warmup)
                     total = trace_handle->size() - w.warmup;
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(tj.rep), total);
-                tscope->start();
-                hooks.telemetry = tscope.get();
+                hooks.startTelemetry(spec.telemetry, static_cast<int>(job),
+                                     w.name, config.name,
+                                     static_cast<int>(tj.rep), total);
                 if (job == 0 && testStallMs())
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(testStallMs()));
@@ -558,10 +555,7 @@ runSweep(const SweepSpec &spec)
                 }
             }
             ooo::OooStats stats = core.measure(0, 0, w.timed);
-            if (tscope)
-                tscope->done(stats.instructions, stats.cycles);
-            // The scope dies with this job; the caller's hooks do not.
-            hooks.telemetry = nullptr;
+            hooks.finishTelemetry(stats.instructions, stats.cycles);
             hooks.finishChromeTrace(w.name + " " + config.name);
             prof.addGuestInsts(w.warmup - ff_skip + stats.instructions);
             prof.addGuestCycles(stats.cycles);
@@ -599,17 +593,11 @@ runSweep(const SweepSpec &spec)
             ooo::OooCore core(config, prep[wi].program, source);
             obs::Hooks hooks;
             core.attachObs(&hooks);
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            if (spec.telemetry) {
-                // Sampled points are monitorable per representative:
-                // the rep index rides on every record of this job.
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    config.name, static_cast<int>(tj.rep),
-                    rep.length);
-                tscope->start();
-                hooks.telemetry = tscope.get();
-            }
+            // Sampled points are monitorable per representative: the
+            // rep index rides on every record of this job.
+            hooks.startTelemetry(spec.telemetry, static_cast<int>(job),
+                                 w.name, config.name,
+                                 static_cast<int>(tj.rep), rep.length);
             // The warmup window splits into a functional prefix and
             // a short detailed tail; runSample fences the statistics
             // between the tail and the timed interval, so the window
@@ -620,8 +608,7 @@ runSweep(const SweepSpec &spec)
                 core.warmup(warm - rep.detail, 0);
             ooo::OooStats stats =
                 core.runSample(rep.length, rep.detail);
-            if (tscope)
-                tscope->done(stats.instructions, stats.cycles);
+            hooks.finishTelemetry(stats.instructions, stats.cycles);
             hooks.finalize();
             rep_meas[tj.slot] = {stats.cycles, stats.instructions};
             rep_snaps[tj.slot] = std::move(hooks.finalSnapshot);
@@ -635,18 +622,11 @@ runSweep(const SweepSpec &spec)
             // mirroring Experiment::regionStudy.
             RegionPoint point;
             point.workload = w.name;
-            std::unique_ptr<obs::TelemetryScope> tscope;
-            std::uint64_t tnext = UINT64_MAX;
-            if (spec.telemetry) {
-                std::uint64_t total =
-                    w.studyInsts ? w.studyInsts : trace_handle->size();
-                tscope = std::make_unique<obs::TelemetryScope>(
-                    spec.telemetry, static_cast<int>(job), w.name,
-                    "regionstudy", static_cast<int>(TimingJob::Exact),
-                    total);
-                tscope->start();
-                tnext = tscope->firstCheckAt(0);
-            }
+            obs::Hooks hooks;
+            hooks.startTelemetry(
+                spec.telemetry, static_cast<int>(job), w.name,
+                "regionstudy", static_cast<int>(TimingJob::Exact),
+                w.studyInsts ? w.studyInsts : trace_handle->size());
             profile::RegionProfiler region_profiler;
             profile::WindowProfiler win32(32);
             profile::WindowProfiler win64(64);
@@ -659,6 +639,9 @@ runSweep(const SweepSpec &spec)
                         scheme.config, nullptr));
             trace::ReplaySource source(trace_handle);
             sim::StepInfo step;
+            // The hot loop's one interval compare, against a local
+            // copy of the clock's threshold.
+            std::uint64_t next = hooks.clock.arm(0);
             while ((!w.studyInsts ||
                     point.instructions < w.studyInsts) &&
                    source.next(step)) {
@@ -668,14 +651,10 @@ runSweep(const SweepSpec &spec)
                 for (auto &predictor : predictors)
                     predictor->observe(step);
                 ++point.instructions;
-                if (point.instructions >= tnext) [[unlikely]] {
-                    obs::TelemetryFrame frame;
-                    frame.insts = point.instructions;
-                    tnext = tscope->check(frame);
-                }
+                if (point.instructions >= next) [[unlikely]]
+                    next = hooks.clock.beat({.insts = point.instructions});
             }
-            if (tscope)
-                tscope->done(point.instructions, 0);
+            hooks.finishTelemetry(point.instructions, 0);
             point.profile = region_profiler.profile();
             point.window32 = win32.stats_summary();
             point.window64 = win64.stats_summary();

@@ -545,6 +545,16 @@ Reader::open(const std::string &path, std::string &err)
         err = "bad index header";
         return false;
     }
+    // Every encoded record spends at least its tag byte, so the block
+    // bytes bound the record count a loader may reserve memory for.
+    const std::uint64_t block_bytes =
+        trailer.indexOffset - (64 + sizeof(Meta));
+    if (index.count * sizeof(BlockHeader) > block_bytes ||
+        trailer.totalRecords >
+            block_bytes - index.count * sizeof(BlockHeader)) {
+        err = "record count exceeds the block bytes";
+        return false;
+    }
 
     entries.resize(static_cast<std::size_t>(index.count));
     in.read(reinterpret_cast<char *>(entries.data()),

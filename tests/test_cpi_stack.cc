@@ -307,8 +307,8 @@ TEST(IntervalSampler, SamplesContentionStatsOnlyWhenKnobsSet)
     obs::Hooks hooks;
     hooks.intervalEvery = 5'000;
     experiment.timingStudy(contended, 5'000, 20'000, &hooks);
-    ASSERT_NE(hooks.sampler, nullptr);
-    const auto &names = hooks.sampler->names();
+    ASSERT_NE(hooks.clock.sampler, nullptr);
+    const auto &names = hooks.clock.sampler->names();
     auto has = [&](const std::string &name) {
         for (const auto &n : names)
             if (n == name)
@@ -318,14 +318,14 @@ TEST(IntervalSampler, SamplesContentionStatsOnlyWhenKnobsSet)
     EXPECT_TRUE(has("ooo.cycles"));
     EXPECT_TRUE(has("cache.l1.bank_conflicts"));
     EXPECT_TRUE(has("ooo.cpi_stack.total"));
-    ASSERT_FALSE(hooks.sampler->samples().empty());
+    ASSERT_FALSE(hooks.clock.sampler->samples().empty());
     // Counter columns are cumulative: non-decreasing sample to sample.
     std::size_t cycles_col = names.size();
     for (std::size_t i = 0; i < names.size(); ++i)
         if (names[i] == "ooo.cycles")
             cycles_col = i;
     ASSERT_LT(cycles_col, names.size());
-    const auto &samples = hooks.sampler->samples();
+    const auto &samples = hooks.clock.sampler->samples();
     for (std::size_t s = 1; s < samples.size(); ++s)
         EXPECT_GE(samples[s].values[cycles_col],
                   samples[s - 1].values[cycles_col]);
@@ -335,8 +335,8 @@ TEST(IntervalSampler, SamplesContentionStatsOnlyWhenKnobsSet)
     obs::Hooks ideal_hooks;
     ideal_hooks.intervalEvery = 5'000;
     experiment.timingStudy(ideal, 5'000, 20'000, &ideal_hooks);
-    ASSERT_NE(ideal_hooks.sampler, nullptr);
-    for (const auto &name : ideal_hooks.sampler->names()) {
+    ASSERT_NE(ideal_hooks.clock.sampler, nullptr);
+    for (const auto &name : ideal_hooks.clock.sampler->names()) {
         EXPECT_EQ(name.find("cpi_stack"), std::string::npos) << name;
         EXPECT_EQ(name.find("bank_conflicts"), std::string::npos)
             << name;

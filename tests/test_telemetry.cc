@@ -10,7 +10,10 @@
  *    second test, from an ARL_ASSERT-style abort) mid-stream, and the
  *    parent verifies every completed record survived plus a parseable
  *    black-box postamble that replays the ring in order;
- *  - the IntervalSampler streaming sink (O(1) memory, CSV rows).
+ *  - the IntervalSampler streaming sink (O(1) memory, CSV rows);
+ *  - the interval clock: a sampler and a telemetry scope driven by
+ *    one OooCore through one threshold emit exactly the bytes each
+ *    emits alone, and runSample's detailed warmup gets no heartbeat.
  */
 
 #include <gtest/gtest.h>
@@ -28,12 +31,17 @@
 #include <vector>
 
 #include "obs/flight_recorder.hh"
+#include "obs/hooks.hh"
 #include "obs/json.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_registry.hh"
 #include "obs/telemetry.hh"
+#include "ooo/config.hh"
+#include "ooo/core.hh"
+#include "workloads/workloads.hh"
 
 using namespace arl;
+using obs::IntervalClock;
 using obs::TelemetryChannel;
 using obs::TelemetryFrame;
 using obs::TelemetryOptions;
@@ -98,7 +106,8 @@ struct FakeClockChannel
     explicit FakeClockChannel(const char *stem,
                               std::uint64_t intervalInsts = 1000,
                               std::uint64_t intervalWallMs = 0,
-                              std::size_t ringSize = 64)
+                              std::size_t ringSize = 64,
+                              std::uint64_t rssKb = 4242)
         : path(tmpPath(stem))
     {
         std::remove(path.c_str());
@@ -107,7 +116,7 @@ struct FakeClockChannel
         opt.intervalWallMs = intervalWallMs;
         opt.ringSize = ringSize;
         opt.clockMs = [this] { return now; };
-        opt.rssKb = [] { return std::uint64_t(4242); };
+        opt.rssKb = [rssKb] { return rssKb; };
         std::string err;
         channel = TelemetryChannel::open(path, opt, &err);
         EXPECT_NE(channel, nullptr) << err;
@@ -159,8 +168,8 @@ TEST(TelemetryScope, HeartbeatRatesAreExactWithInjectedClock)
 {
     FakeClockChannel fx("rates", /*intervalInsts=*/1000);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 10'000);
-    scope.start();
-    EXPECT_EQ(scope.firstCheckAt(0), 1000u);
+    scope.arm(0);
+    EXPECT_EQ(scope.due(), 1000u);
 
     // 999 insts: below the interval — no heartbeat.
     fx.now = 50;
@@ -181,8 +190,8 @@ TEST(TelemetryScope, HeartbeatRatesAreExactWithInjectedClock)
     f.refsStack = 400;
     f.lvaqSteered = 120;
     f.contentionStalls = 77;
-    std::uint64_t next = scope.check(f);
-    EXPECT_EQ(next, 3000u);
+    scope.check(f);
+    EXPECT_EQ(scope.due(), 3000u);
     ASSERT_EQ(fx.channel->recordsEmitted(), 2u);
 
     auto lines = readLines(fx.path);
@@ -229,7 +238,6 @@ TEST(TelemetryScope, EpochGuardRebasesOnCounterReset)
 {
     FakeClockChannel fx("epoch", /*intervalInsts=*/1000);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 0);
-    scope.start();
 
     fx.now = 10;
     TelemetryFrame f;
@@ -245,8 +253,8 @@ TEST(TelemetryScope, EpochGuardRebasesOnCounterReset)
     TelemetryFrame reset;
     reset.insts = 100;
     reset.cycles = 100;
-    std::uint64_t next = scope.check(reset);
-    EXPECT_EQ(next, 1100u);
+    scope.check(reset);
+    EXPECT_EQ(scope.due(), 1100u);
     EXPECT_EQ(fx.channel->recordsEmitted(), 2u);
 
     // The next beat's delta is measured from the re-based frame.
@@ -266,10 +274,10 @@ TEST(TelemetryScope, WallClockTriggerBeatsWithoutInstProgress)
     FakeClockChannel fx("wall", /*intervalInsts=*/0,
                         /*intervalWallMs=*/100);
     TelemetryScope scope(fx.channel.get(), 0, "wl", "cfg", -1, 0);
-    scope.start();
     // Wall-clock-only channels still need periodic checks: the scope
-    // asks the core back every 64Ki instructions.
-    EXPECT_EQ(scope.firstCheckAt(0), 65536u);
+    // is due every 64Ki instructions.
+    scope.arm(0);
+    EXPECT_EQ(scope.due(), 65536u);
 
     TelemetryFrame f;
     f.insts = 65536;
@@ -349,7 +357,6 @@ crashRoundTrip(const std::string &path, int expectSig,
         obs::armFlightRecorder(ch.get());
         ch->emitMeta("test", "crash");
         TelemetryScope scope(ch.get(), 0, "wl", "cfg", -1, 100'000);
-        scope.start();
         TelemetryFrame f;
         for (int i = 1; i <= 5; ++i) {
             f.insts = static_cast<std::uint64_t>(i) * 1000;
@@ -436,9 +443,8 @@ TEST(IntervalSampler, StreamingSinkWritesRowsAndKeepsNoSamples)
 {
     obs::StatsRegistry registry;
     std::uint64_t &commits = registry.counter("core.commits");
-    obs::IntervalSampler sampler(registry, 100);
     std::ostringstream out;
-    sampler.setStream(&out);
+    obs::IntervalSampler sampler(registry, 100, &out);
     EXPECT_TRUE(sampler.streaming());
 
     commits = 40;
@@ -470,9 +476,8 @@ TEST(IntervalSampler, FlushWithoutNewProgressEmitsNoDuplicateRow)
 {
     obs::StatsRegistry registry;
     std::uint64_t &commits = registry.counter("core.commits");
-    obs::IntervalSampler sampler(registry, 100);
     std::ostringstream out;
-    sampler.setStream(&out);
+    obs::IntervalSampler sampler(registry, 100, &out);
     commits = 50;
     sampler.tick(100);
     sampler.flush(100); // boundary already sampled
@@ -482,6 +487,151 @@ TEST(IntervalSampler, FlushWithoutNewProgressEmitsNoDuplicateRow)
     while (std::getline(rows, line))
         ++n;
     EXPECT_EQ(n, 2u); // header + one row
+}
+
+TEST(IntervalClock, NoSinkNeverFires)
+{
+    obs::Hooks hooks;
+    EXPECT_EQ(hooks.clock.arm(0), IntervalClock::kNever);
+    // No channel: no scope opens, and closing none is a no-op.
+    hooks.startTelemetry(nullptr, 0, "wl", "cfg", -1, 0);
+    EXPECT_EQ(hooks.clock.telemetry, nullptr);
+    EXPECT_EQ(hooks.clock.arm(100), IntervalClock::kNever);
+    hooks.finishTelemetry(0, 0);
+}
+
+TEST(IntervalClock, ThresholdIsTheEarliestDueSink)
+{
+    FakeClockChannel fx("clock_due", /*intervalInsts=*/1000);
+    obs::Hooks hooks;
+    std::uint64_t &commits = hooks.registry.counter("core.commits");
+    hooks.intervalEvery = 300;
+    hooks.startSampling();
+    hooks.startTelemetry(fx.channel.get(), 0, "wl", "cfg", -1, 0);
+    ASSERT_NE(hooks.clock.telemetry, nullptr);
+
+    EXPECT_EQ(hooks.clock.arm(0), 300u); // sampler 300, telemetry 1000
+    EXPECT_EQ(hooks.clock.nextAt(), 300u);
+    commits = 300;
+    EXPECT_EQ(hooks.clock.beat({.insts = 300}), 600u);
+    commits = 900;
+    EXPECT_EQ(hooks.clock.beat({.insts = 900}), 1000u); // sampler 1200
+    EXPECT_EQ(hooks.clock.beat({.insts = 1000}), 1200u); // heartbeat
+    EXPECT_EQ(fx.channel->recordsEmitted(), 2u); // job start + beat
+
+    // Muted heartbeats drop out of the schedule; rows keep sampling.
+    hooks.clock.heartbeatsMuted = true;
+    EXPECT_EQ(hooks.clock.arm(1000), 1200u);
+    commits = 2400;
+    EXPECT_EQ(hooks.clock.beat({.insts = 2400}), 2700u);
+    EXPECT_EQ(fx.channel->recordsEmitted(), 2u);
+    hooks.clock.heartbeatsMuted = false;
+    EXPECT_EQ(hooks.clock.arm(2400), 2700u); // telemetry re-armed: 3400
+    EXPECT_EQ(hooks.clock.telemetry->due(), 3400u);
+
+    ASSERT_EQ(hooks.clock.sampler->samples().size(), 3u);
+    EXPECT_EQ(hooks.clock.sampler->samples()[2].at, 2400u);
+    hooks.finishTelemetry(2400, 0);
+    EXPECT_EQ(hooks.clock.telemetry, nullptr);
+    EXPECT_EQ(fx.channel->recordsEmitted(), 3u); // + job done
+}
+
+/** What one timed OooCore run emitted through each attached sink. */
+struct CoreSinks
+{
+    std::string heartbeats; ///< telemetry JSONL lines
+    std::string rows;       ///< interval CSV rows
+};
+
+/**
+ * Time li_like (2+0) for 20K instructions after a 5K warmup with the
+ * interval sampler and/or a telemetry scope on a zero clock with zero
+ * RSS attached, so every emitted byte is deterministic.
+ */
+CoreSinks
+timeWithSinks(bool sampler, bool telemetry)
+{
+    FakeClockChannel fx(sampler ? "core_both" : "core_beats",
+                        /*intervalInsts=*/2000, 0, 64, /*rssKb=*/0);
+    ooo::OooCore core(ooo::MachineConfig::nPlusM(2, 0),
+                      workloads::buildWorkload("li_like", 1));
+    obs::Hooks hooks;
+    std::ostringstream rows;
+    if (sampler) {
+        hooks.intervalEvery = 5000;
+        hooks.intervalStream = &rows;
+    }
+    core.attachObs(&hooks);
+    if (telemetry)
+        hooks.startTelemetry(fx.channel.get(), 0, "li_like", "(2+0)", -1,
+                             20'000);
+    ooo::OooStats stats = core.measure(5000, 0, 20'000);
+    hooks.finishTelemetry(stats.instructions, stats.cycles);
+    CoreSinks out;
+    out.rows = rows.str();
+    for (const std::string &line : readLines(fx.path))
+        out.heartbeats += line + "\n";
+    return out;
+}
+
+TEST(IntervalClock, BothSinksOnOneCoreEmitWhatEachEmitsAlone)
+{
+    CoreSinks both = timeWithSinks(true, true);
+    CoreSinks rows_only = timeWithSinks(true, false);
+    CoreSinks beats_only = timeWithSinks(false, true);
+    EXPECT_EQ(both.rows, rows_only.rows);
+    EXPECT_EQ(both.heartbeats, beats_only.heartbeats);
+    EXPECT_TRUE(rows_only.heartbeats.empty());
+    EXPECT_TRUE(beats_only.rows.empty());
+
+    // Both sinks fired: header + ceil(20000/5000) rows, and a
+    // heartbeat roughly every 2000 instructions between the job's
+    // start and done records.
+    std::size_t rows = 0, beats = 0;
+    for (char c : both.rows)
+        rows += c == '\n';
+    EXPECT_EQ(rows, 5u);
+    std::istringstream in(both.heartbeats);
+    std::string line;
+    while (std::getline(in, line))
+        beats += strField(parseLine(line), "kind") == "hb";
+    EXPECT_GE(beats, 8u);
+    EXPECT_LE(beats, 10u);
+}
+
+TEST(IntervalClock, RunSampleMutesHeartbeatsThroughDetailedWarmup)
+{
+    FakeClockChannel fx("sample_mute", /*intervalInsts=*/1000, 0, 64,
+                        /*rssKb=*/0);
+    ooo::OooCore core(ooo::MachineConfig::nPlusM(2, 0),
+                      workloads::buildWorkload("li_like", 1));
+    obs::Hooks hooks;
+    core.attachObs(&hooks);
+    hooks.startTelemetry(fx.channel.get(), 0, "li_like", "(2+0)", 0,
+                         4000);
+    core.warmup(5000);
+    // 6000 detailed-warmup instructions, fenced, then 4000 timed.
+    ooo::OooStats stats = core.runSample(4000, 6000);
+    hooks.finishTelemetry(stats.instructions, stats.cycles);
+    EXPECT_FALSE(hooks.clock.heartbeatsMuted);
+
+    // A beat before the fence would count past the timed window and
+    // leave the first timed beat re-based instead of emitted.
+    std::vector<obs::JsonValue> beats;
+    for (const std::string &line : readLines(fx.path)) {
+        obs::JsonValue v = parseLine(line);
+        if (strField(v, "kind") == "hb")
+            beats.push_back(v);
+    }
+    ASSERT_GE(beats.size(), 3u);
+    EXPECT_EQ(numField(beats[0], "d_insts"), numField(beats[0], "insts"));
+    double prev = 0;
+    for (const obs::JsonValue &hb : beats) {
+        EXPECT_GT(numField(hb, "insts"), prev);
+        EXPECT_LE(numField(hb, "insts"),
+                  static_cast<double>(stats.instructions));
+        prev = numField(hb, "insts");
+    }
 }
 
 } // namespace

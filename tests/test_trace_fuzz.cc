@@ -13,6 +13,8 @@
  *    and byte flips, zeroed ranges, wrong magic/version, zero-length)
  *    never crash the non-fatal loader: every case either loads a
  *    fully-valid trace or returns nullptr;
+ *  - a CRC-valid file whose trailer claims more records than its
+ *    block bytes can hold is rejected before anything is reserved;
  *  - a corrupted sweep trace cache silently re-records: the report
  *    is byte-identical to a cold-cache run and the cache entries are
  *    valid again afterwards.
@@ -26,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "builder/program_builder.hh"
+#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "sim/simulator.hh"
@@ -336,8 +340,9 @@ TEST(TraceFuzzCodec, GarbagePayloadNeverCrashesTheDecoder)
                                          payload.size(),
                                          1 + rng.nextBounded(500),
                                          ctx, out, err);
-        if (!ok)
+        if (!ok) {
             EXPECT_FALSE(err.empty());
+        }
     }
 }
 
@@ -488,6 +493,44 @@ TEST_F(TraceFuzz, DegenerateFilesRejectCleanly)
     }
     // Nonexistent path.
     std::remove(path.c_str());
+    EXPECT_EQ(trace::loadTrace(path), nullptr);
+}
+
+TEST_F(TraceFuzz, OversizedRecordCountRejectsBeforeReserving)
+{
+    // 1000 one-record blocks re-labelled as 2^24-record blocks: the
+    // meta, index and trailer agree and the index CRC is valid, but
+    // the trailer now claims 1000 * 2^24 records (512 GB of decoded
+    // records) in a ~330 KB file.
+    auto prog = workloads::buildWorkload("go_like", 1);
+    trace::recordTrace(prog, path, 1000, 1);
+    std::string bytes = readFileBytes(path);
+    const std::uint32_t block_records = trace::MaxBlockRecords;
+    std::memcpy(&bytes[64], &block_records, sizeof(block_records));
+    trace::v2::Trailer trailer;
+    const std::size_t trailer_at = bytes.size() - sizeof(trailer);
+    std::memcpy(&trailer, &bytes[trailer_at], sizeof(trailer));
+    trace::v2::IndexHeader index;
+    std::memcpy(&index, &bytes[trailer.indexOffset], sizeof(index));
+    ASSERT_EQ(index.count, 1000u);
+    const std::size_t entries_at = trailer.indexOffset + sizeof(index);
+    for (std::uint64_t b = 0; b < index.count; ++b) {
+        const std::uint64_t first = b * block_records;
+        std::memcpy(&bytes[entries_at + b * sizeof(trace::v2::IndexEntry) +
+                           offsetof(trace::v2::IndexEntry, firstRecord)],
+                    &first, sizeof(first));
+    }
+    trailer.totalRecords = index.count * block_records;
+    trailer.indexCrc = crc32(&bytes[entries_at],
+                             index.count * sizeof(trace::v2::IndexEntry));
+    std::memcpy(&bytes[trailer_at], &trailer, sizeof(trailer));
+    writeFileBytes(path, bytes);
+
+    trace::v2::Reader reader;
+    std::string err;
+    EXPECT_FALSE(reader.open(path, err));
+    EXPECT_NE(err.find("record count"), std::string::npos) << err;
+    QuietLogs quiet;
     EXPECT_EQ(trace::loadTrace(path), nullptr);
 }
 

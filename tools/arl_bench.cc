@@ -274,18 +274,20 @@ benchCorpus()
 }
 
 /**
- * The pinned raw-speed number: pure replay→OoO guest-MIPS on the
- * replay grid (li_like/go_like × two n+m configs, same points as
- * replay_core).  Each workload is recorded once before the clock
- * starts, so the timed window covers only ReplaySource→OooCore
- * execution — no assembly, recording, or sweep-engine overhead.
- * The grid is replayed kMipsRepeats times to push the wall clock
- * into a range where host noise stays well inside the CI
- * --mips-tol gate; every repeat simulates identical work, so the
- * deterministic guest totals stay exact multiples.
+ * Pure replay→OoO guest-MIPS on the replay grid (li_like/go_like ×
+ * two n+m configs, same points as replay_core).  Each workload is
+ * recorded once before the clock starts, so the timed window covers
+ * only ReplaySource→OooCore execution — no assembly, recording, or
+ * sweep-engine overhead.  The grid is replayed kMipsRepeats times to
+ * push the wall clock into a range where host noise stays well
+ * inside the CI --mips-tol gate; every repeat simulates identical
+ * work, so the deterministic guest totals stay exact multiples.
+ * Without @p channel this is "mips", the pinned raw-speed number;
+ * with it, every core streams heartbeats into it as one telemetry
+ * job.
  */
 obs::BenchCase
-benchMips()
+timeMipsGrid(const char *name, obs::TelemetryChannel *channel)
 {
     constexpr int kMipsRepeats = 4;
     static const char *const kNames[] = {"li_like", "go_like"};
@@ -300,27 +302,34 @@ benchMips()
         InstCount warmup = 0;
     };
     std::vector<Prepared> prep;
-    for (const char *name : kNames) {
+    for (const char *workload : kNames) {
         Prepared p;
-        p.program = workloads::buildWorkload(name, 1);
-        p.warmup = workloads::workloadByName(name).warmupInsts;
+        p.program = workloads::buildWorkload(workload, 1);
+        p.warmup = workloads::workloadByName(workload).warmupInsts;
         p.trace =
             trace::recordToMemory(p.program, p.warmup + kTimedInsts);
         prep.push_back(std::move(p));
     }
 
     obs::BenchCase bench;
-    bench.name = "mips";
+    bench.name = name;
     Clock::time_point start = Clock::now();
+    int job = 0;
     for (int rep = 0; rep < kMipsRepeats; ++rep) {
         for (const Prepared &p : prep) {
             for (const ooo::MachineConfig &config : configs) {
                 auto source =
                     std::make_shared<trace::ReplaySource>(p.trace);
                 ooo::OooCore core(config, p.program, source);
+                obs::Hooks hooks;
+                if (channel)
+                    core.attachObs(&hooks);
+                hooks.startTelemetry(channel, job++, p.program->name,
+                                     "bench", -1, p.warmup + kTimedInsts);
                 if (p.warmup)
                     core.warmup(p.warmup);
                 ooo::OooStats stats = core.run(kTimedInsts);
+                hooks.finishTelemetry(stats.instructions, stats.cycles);
                 bench.guestInsts += p.warmup + stats.instructions;
                 bench.guestCycles += stats.cycles;
             }
@@ -351,33 +360,10 @@ benchMips()
 obs::BenchCase
 benchMipsTelemetry()
 {
-    constexpr int kMipsRepeats = 4;
-    constexpr InstCount kBeatEvery = 20000;
-    static const char *const kNames[] = {"li_like", "go_like"};
-    const std::vector<ooo::MachineConfig> configs = {
-        ooo::MachineConfig::nPlusM(2, 0),
-        ooo::MachineConfig::nPlusM(3, 1)};
-
-    struct Prepared
-    {
-        std::shared_ptr<const vm::Program> program;
-        std::shared_ptr<const trace::InMemoryTrace> trace;
-        InstCount warmup = 0;
-    };
-    std::vector<Prepared> prep;
-    for (const char *name : kNames) {
-        Prepared p;
-        p.program = workloads::buildWorkload(name, 1);
-        p.warmup = workloads::workloadByName(name).warmupInsts;
-        p.trace =
-            trace::recordToMemory(p.program, p.warmup + kTimedInsts);
-        prep.push_back(std::move(p));
-    }
-
     const std::string path = "arl_bench_telemetry.jsonl.tmp";
     std::remove(path.c_str());
     obs::TelemetryOptions opt;
-    opt.intervalInsts = kBeatEvery;
+    opt.intervalInsts = 20000;
     opt.clockMs = [] { return std::uint64_t(0); };
     opt.rssKb = [] { return std::uint64_t(0); };
     std::string error;
@@ -385,42 +371,11 @@ benchMipsTelemetry()
     if (!channel)
         fatal("mips_telemetry: %s", error.c_str());
 
-    obs::BenchCase bench;
-    bench.name = "mips_telemetry";
-    Clock::time_point start = Clock::now();
-    int job = 0;
-    for (int rep = 0; rep < kMipsRepeats; ++rep) {
-        for (const Prepared &p : prep) {
-            for (const ooo::MachineConfig &config : configs) {
-                auto source =
-                    std::make_shared<trace::ReplaySource>(p.trace);
-                ooo::OooCore core(config, p.program, source);
-                obs::Hooks hooks;
-                obs::TelemetryScope scope(channel.get(), job++,
-                                          p.program->name, "bench", -1,
-                                          p.warmup + kTimedInsts);
-                hooks.telemetry = &scope;
-                core.attachObs(&hooks);
-                scope.start();
-                if (p.warmup)
-                    core.warmup(p.warmup);
-                ooo::OooStats stats = core.run(kTimedInsts);
-                scope.done(stats.instructions, stats.cycles);
-                bench.guestInsts += p.warmup + stats.instructions;
-                bench.guestCycles += stats.cycles;
-            }
-        }
-    }
-    bench.wallSeconds = secondsSince(start);
-    bench.mips = bench.wallSeconds > 0.0
-                     ? bench.guestInsts / 1e6 / bench.wallSeconds
-                     : 0.0;
-    bench.counters.emplace_back(
-        "telemetry_records",
-        static_cast<double>(channel->recordsEmitted()));
-    bench.counters.emplace_back(
-        "telemetry_bytes",
-        static_cast<double>(channel->bytesWritten()));
+    obs::BenchCase bench = timeMipsGrid("mips_telemetry", channel.get());
+    bench.counters = {
+        {"telemetry_records",
+         static_cast<double>(channel->recordsEmitted())},
+        {"telemetry_bytes", static_cast<double>(channel->bytesWritten())}};
     channel.reset();
     std::remove(path.c_str());
     return bench;
@@ -503,7 +458,7 @@ main(int argc, char **argv)
     obs::Profiler::instance().enable();
 
     obs::BenchReport report;
-    report.benches.push_back(benchMips());
+    report.benches.push_back(timeMipsGrid("mips", nullptr));
     report.benches.push_back(benchMipsTelemetry());
     report.benches.push_back(benchReplayCore());
     report.benches.push_back(benchTraceCodec());

@@ -451,10 +451,11 @@ openTelemetry(const ObsOptions &opts, const char *command, int *rc)
 }
 
 /**
- * Open --interval-stream and attach it to @p hooks' sampler so rows
- * go to disk as they are captured (O(1) memory) instead of into the
- * report's "intervals" section.  The returned stream must outlive
- * the run.  Sets @p rc to 2 when the file cannot be opened.
+ * Open --interval-stream and hand it to @p hooks, whose sampler
+ * (armed afterwards by startSampling()) then writes rows to disk as
+ * they are captured (O(1) memory) instead of into the report's
+ * "intervals" section.  The returned stream must outlive the run.
+ * Sets @p rc to 2 when the file cannot be opened.
  */
 std::unique_ptr<std::ofstream>
 openIntervalStream(const ObsOptions &opts, obs::Hooks &hooks, int *rc)
@@ -470,12 +471,7 @@ openIntervalStream(const ObsOptions &opts, obs::Hooks &hooks, int *rc)
         *rc = 2;
         return nullptr;
     }
-    // Attach to the live sampler when one is armed already; either
-    // way record the sink so a sampler armed later (after a timing
-    // point's warmup) attaches it.
     hooks.intervalStream = stream.get();
-    if (hooks.sampler)
-        hooks.sampler->setStream(stream.get());
     return stream;
 }
 
@@ -572,7 +568,6 @@ cmdRun(const std::string &target, Args &args)
     obs::Hooks hooks;
     hooks.intervalEvery = opts.interval;
     simulator.registerStats(hooks.registry, "sim");
-    hooks.startSampling();
 
     int rc = 0;
     auto telemetry = openTelemetry(opts, "run", &rc);
@@ -581,32 +576,23 @@ cmdRun(const std::string &target, Args &args)
     auto interval_stream = openIntervalStream(opts, hooks, &rc);
     if (rc)
         return rc;
+    hooks.startSampling();
 
     InstCount max_insts =
         static_cast<InstCount>(args.flagInt("max-insts", 0));
-    std::unique_ptr<obs::TelemetryScope> tscope;
-    std::uint64_t tnext = 0;
-    if (telemetry) {
-        tscope = std::make_unique<obs::TelemetryScope>(
-            telemetry.get(), 0, prog->name, "functional", -1,
-            max_insts);
-        tscope->start();
-        tnext = tscope->firstCheckAt(0);
-    }
+    hooks.startTelemetry(telemetry.get(), 0, prog->name, "functional",
+                         -1, max_insts);
     InstCount executed;
     {
         obs::ProfScope prof("run/execute",
                             obs::ProfScope::Mode::Absolute);
-        if (hooks.sampler || tscope) {
-            obs::TelemetryFrame frame;
+        std::uint64_t next = hooks.clock.arm(0);
+        if (next != obs::IntervalClock::kNever) {
             executed =
                 simulator.run(max_insts, [&](const sim::StepInfo &) {
-                    std::uint64_t done = simulator.instCount();
-                    hooks.tick(done);
-                    if (tscope && done >= tnext) {
-                        frame.insts = done;
-                        tnext = tscope->check(frame);
-                    }
+                    if (simulator.instCount() >= next) [[unlikely]]
+                        next = hooks.clock.beat(
+                            {.insts = simulator.instCount()});
                 });
         } else {
             executed = simulator.run(max_insts);
@@ -614,10 +600,9 @@ cmdRun(const std::string &target, Args &args)
         hooks.finishSampling(simulator.instCount());
         prof.addGuestInsts(executed);
     }
-    if (tscope) {
-        tscope->done(simulator.instCount(), 0);
+    hooks.finishTelemetry(simulator.instCount(), 0);
+    if (telemetry)
         telemetry->emitFinal(simulator.instCount());
-    }
     if (!quietOutput()) {
         std::printf("program   : %s\n", prog->name.c_str());
         std::printf("executed  : %llu instructions\n",
@@ -784,15 +769,17 @@ cmdPredict(const std::string &target, Args &args)
     hooks.intervalEvery = opts.interval;
     predictor.registerStats(hooks.registry, "predict");
     simulator.registerStats(hooks.registry, "sim");
-    hooks.startSampling();
     int rc = 0;
     auto interval_stream = openIntervalStream(opts, hooks, &rc);
     if (rc)
         return rc;
+    hooks.startSampling();
 
+    std::uint64_t next = hooks.clock.arm(0);
     simulator.run(0, [&](const sim::StepInfo &step) {
         predictor.observe(step);
-        hooks.tick(simulator.instCount());
+        if (simulator.instCount() >= next) [[unlikely]]
+            next = hooks.clock.beat({.insts = simulator.instCount()});
     });
     hooks.finishSampling(simulator.instCount());
 
@@ -1513,46 +1500,35 @@ cmdReplay(const std::string &trace_path, Args &args)
     auto telemetry = openTelemetry(opts, "replay", &rc);
     if (rc)
         return rc;
-    std::unique_ptr<obs::TelemetryScope> tscope;
-    std::uint64_t tnext = 0;
-    if (telemetry) {
-        // Replay passes have no core: the loop below drives the
-        // interval check directly off the record count.
-        tscope = std::make_unique<obs::TelemetryScope>(
-            telemetry.get(), 0, reader.programName(), "replay", -1,
-            0);
-        tscope->start();
-        tnext = tscope->firstCheckAt(0);
-    }
+    obs::Hooks hooks;
+    hooks.startTelemetry(telemetry.get(), 0, reader.programName(),
+                         "replay", -1, 0);
 
     profile::RegionProfiler profiler;
     profile::WindowProfiler window32(32);
     sim::StepInfo step;
     {
         obs::ProfScope prof("replay");
-        obs::TelemetryFrame frame;
         std::uint64_t replayed = 0;
+        std::uint64_t next = hooks.clock.arm(0);
         while (reader.next(step)) {
             profiler.observe(step);
             window32.observe(step);
-            if (tscope && ++replayed >= tnext) {
+            if (++replayed >= next) [[unlikely]] {
                 const auto &live = profiler.profile();
-                frame.insts = replayed;
-                frame.loads = live.dynamicLoads;
-                frame.stores = live.dynamicStores;
-                frame.refsData = live.regionRefs[0];
-                frame.refsHeap = live.regionRefs[1];
-                frame.refsStack = live.regionRefs[2];
-                tnext = tscope->check(frame);
-            } else if (!tscope) {
-                ++replayed;
+                next = hooks.clock.beat(
+                    {.insts = replayed,
+                     .loads = live.dynamicLoads,
+                     .stores = live.dynamicStores,
+                     .refsData = live.regionRefs[0],
+                     .refsHeap = live.regionRefs[1],
+                     .refsStack = live.regionRefs[2]});
             }
         }
         prof.addGuestInsts(profiler.profile().totalInstructions);
-        if (tscope) {
-            tscope->done(replayed, 0);
+        hooks.finishTelemetry(replayed, 0);
+        if (telemetry)
             telemetry->emitFinal(replayed);
-        }
     }
     auto profile = profiler.profile();
     if (!quietOutput()) {
@@ -1576,7 +1552,6 @@ cmdReplay(const std::string &trace_path, Args &args)
 
     if (!opts.wantsReport())
         return 0;
-    obs::Hooks hooks;
     auto &reg = hooks.registry;
     reg.counter("profile.instructions") = profile.totalInstructions;
     reg.counter("profile.loads") = profile.dynamicLoads;
