@@ -12,8 +12,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "profile/region_profiler.hh"
-#include "sim/simulator.hh"
+#include "core/experiment.hh"
 
 using namespace arl;
 
@@ -33,13 +32,8 @@ main(int argc, char **argv)
     unsigned int_count = 0, fp_count = 0;
 
     for (const auto &info : workloads::allWorkloads()) {
-        auto prog = info.build(scale);
-        sim::Simulator simulator(prog);
-        profile::RegionProfiler profiler;
-        simulator.run(0, [&](const sim::StepInfo &step) {
-            profiler.observe(step);
-        });
-        auto profile = profiler.profile();
+        auto profile =
+            core::Experiment(info.build(scale)).regionStudy({}).profile;
 
         std::vector<std::string> row{info.name};
         for (unsigned c = 0; c < profile::NumRegionClasses; ++c) {

@@ -61,13 +61,8 @@ main(int argc, char **argv)
         predict::StaticClassifier fig6(*prog);
 
         // The profile bound needs a training run.
-        predict::CompilerHints profile_hints;
-        {
-            sim::Simulator trainer(prog);
-            trainer.run(0, [&](const sim::StepInfo &step) {
-                profile_hints.observe(step);
-            });
-        }
+        predict::CompilerHints profile_hints =
+            core::Experiment(prog).buildHints();
 
         // Evaluate the three predictor variants on a fresh run.
         predict::RegionPredictor none(pipelineConfig(false));

@@ -10,8 +10,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "profile/region_profiler.hh"
-#include "sim/simulator.hh"
+#include "core/experiment.hh"
 
 using namespace arl;
 
@@ -27,13 +26,8 @@ main(int argc, char **argv)
                   "Loads%", "Stores%", "L/S%"});
 
     for (const auto &info : workloads::allWorkloads()) {
-        auto prog = info.build(scale);
-        sim::Simulator simulator(prog);
-        profile::RegionProfiler profiler;
-        simulator.run(0, [&](const sim::StepInfo &step) {
-            profiler.observe(step);
-        });
-        auto profile = profiler.profile();
+        auto profile =
+            core::Experiment(info.build(scale)).regionStudy({}).profile;
         double insts = static_cast<double>(profile.totalInstructions);
         double loads_pct = 100.0 * profile.dynamicLoads / insts;
         double stores_pct = 100.0 * profile.dynamicStores / insts;

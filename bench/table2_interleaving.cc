@@ -11,8 +11,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "profile/window_profiler.hh"
-#include "sim/simulator.hh"
+#include "core/experiment.hh"
 
 using namespace arl;
 
@@ -47,16 +46,9 @@ main(int argc, char **argv)
     unsigned count = 0;
 
     for (const auto &info : workloads::allWorkloads()) {
-        auto prog = info.build(scale);
-        sim::Simulator simulator(prog);
-        profile::WindowProfiler win32(32);
-        profile::WindowProfiler win64(64);
-        simulator.run(0, [&](const sim::StepInfo &step) {
-            win32.observe(step);
-            win64.observe(step);
-        });
-        auto stats32 = win32.stats_summary();
-        auto stats64 = win64.stats_summary();
+        auto study = core::Experiment(info.build(scale)).regionStudy({});
+        const auto &stats32 = study.window32;
+        const auto &stats64 = study.window64;
         table.row({info.name, cell(stats32, 0), cell(stats32, 1),
                    cell(stats32, 2), cell(stats64, 0), cell(stats64, 1),
                    cell(stats64, 2)});

@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "sim/simulator.hh"
+#include "sim/step_source.hh"
 
 namespace arl::core
 {
@@ -37,16 +38,6 @@ figure4Schemes()
     };
 }
 
-std::vector<sweep::SchemeSpec>
-toSweepSchemes(const std::vector<NamedScheme> &schemes)
-{
-    std::vector<sweep::SchemeSpec> specs;
-    specs.reserve(schemes.size());
-    for (const NamedScheme &scheme : schemes)
-        specs.push_back({scheme.name, scheme.config});
-    return specs;
-}
-
 std::vector<NamedScheme>
 twoBitSchemes()
 {
@@ -80,44 +71,20 @@ Experiment::buildHints(InstCount max_insts) const
 
 RegionStudyResult
 Experiment::regionStudy(const std::vector<NamedScheme> &schemes,
-                        bool use_hints, InstCount max_insts)
+                        bool use_hints, InstCount max_insts,
+                        obs::Hooks *hooks)
 {
-    RegionStudyResult result;
-    result.workload = prog->name;
-
     predict::CompilerHints hints;
     if (use_hints)
         hints = buildHints(max_insts);
-
-    profile::RegionProfiler region_profiler;
-    profile::WindowProfiler win32(32);
-    profile::WindowProfiler win64(64);
-
-    std::vector<std::unique_ptr<predict::RegionPredictor>> predictors;
-    predictors.reserve(schemes.size());
-    for (const NamedScheme &scheme : schemes) {
-        predict::RegionPredictorConfig config = scheme.config;
-        config.useCompilerHints = use_hints;
-        predictors.push_back(std::make_unique<predict::RegionPredictor>(
-            config, use_hints ? &hints : nullptr));
-    }
-
+    obs::Hooks local;
     sim::Simulator simulator(prog);
-    result.instructions =
-        simulator.run(max_insts, [&](const sim::StepInfo &step) {
-            region_profiler.observe(step);
-            win32.observe(step);
-            win64.observe(step);
-            for (auto &predictor : predictors)
-                predictor->observe(step);
-        });
-
-    result.profile = region_profiler.profile();
-    result.window32 = win32.stats_summary();
-    result.window64 = win64.stats_summary();
-    for (std::size_t i = 0; i < schemes.size(); ++i)
-        result.schemes.emplace_back(schemes[i].name,
-                                    predictors[i]->report());
+    sim::SimulatorSource source(simulator);
+    RegionStudyResult result =
+        sweep::RegionPass(schemes, hooks ? *hooks : local,
+                          use_hints ? &hints : nullptr)
+            .run(source, max_insts);
+    result.workload = prog->name;
     return result;
 }
 

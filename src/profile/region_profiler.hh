@@ -99,8 +99,14 @@ class RegionProfiler
         ++regionRefs[regionIndex(step.region)];
     }
 
-    /** Aggregate everything observed so far. */
+    /** Aggregate everything observed so far (walks the per-PC map). */
     RegionProfile profile() const;
+
+    /** Running totals, O(1): cheap enough for every heartbeat. */
+    std::uint64_t instructionCount() const { return instructions; }
+    std::uint64_t dynamicLoads() const { return loads; }
+    std::uint64_t dynamicStores() const { return stores; }
+    std::uint64_t refs(unsigned region) const { return regionRefs[region]; }
 
     /** Region-set mask of one static instruction (0 if never seen). */
     unsigned maskForPc(Addr pc) const;

@@ -618,77 +618,15 @@ runSweep(const SweepSpec &spec)
         } else {
             obs::ProfScope prof("sweep/regionstudy",
                                 obs::ProfScope::Mode::Absolute);
-            // One replay pass feeds the profilers and every scheme,
-            // mirroring Experiment::regionStudy.
-            RegionPoint point;
-            point.workload = w.name;
             obs::Hooks hooks;
             hooks.startTelemetry(
                 spec.telemetry, static_cast<int>(job), w.name,
                 "regionstudy", static_cast<int>(TimingJob::Exact),
                 w.studyInsts ? w.studyInsts : trace_handle->size());
-            profile::RegionProfiler region_profiler;
-            profile::WindowProfiler win32(32);
-            profile::WindowProfiler win64(64);
-            std::vector<std::unique_ptr<predict::RegionPredictor>>
-                predictors;
-            predictors.reserve(spec.schemes.size());
-            for (const SchemeSpec &scheme : spec.schemes)
-                predictors.push_back(
-                    std::make_unique<predict::RegionPredictor>(
-                        scheme.config, nullptr));
             trace::ReplaySource source(trace_handle);
-            sim::StepInfo step;
-            // The hot loop's one interval compare, against a local
-            // copy of the clock's threshold.
-            std::uint64_t next = hooks.clock.arm(0);
-            while ((!w.studyInsts ||
-                    point.instructions < w.studyInsts) &&
-                   source.next(step)) {
-                region_profiler.observe(step);
-                win32.observe(step);
-                win64.observe(step);
-                for (auto &predictor : predictors)
-                    predictor->observe(step);
-                ++point.instructions;
-                if (point.instructions >= next) [[unlikely]]
-                    next = hooks.clock.beat({.insts = point.instructions});
-            }
-            hooks.finishTelemetry(point.instructions, 0);
-            point.profile = region_profiler.profile();
-            point.window32 = win32.stats_summary();
-            point.window64 = win64.stats_summary();
-            for (std::size_t i = 0; i < spec.schemes.size(); ++i)
-                point.schemes.emplace_back(spec.schemes[i].name,
-                                           predictors[i]->report());
-
-            // Registry-owned mirror of the numbers, in the same
-            // shape `arl_sim profile --stats-json` uses.
-            obs::StatsRegistry registry;
-            registry.counter("profile.instructions") =
-                point.instructions;
-            registry.counter("profile.loads") =
-                point.profile.dynamicLoads;
-            registry.counter("profile.stores") =
-                point.profile.dynamicStores;
-            const char *names[3] = {"data", "heap", "stack"};
-            for (unsigned r = 0; r < 3; ++r) {
-                registry.counter(std::string("profile.refs.") +
-                                 names[r]) = point.profile.regionRefs[r];
-                registry.gauge("profile.window32." +
-                               std::string(names[r]) + ".mean") =
-                    point.window32.mean[r];
-                registry.gauge("profile.window64." +
-                               std::string(names[r]) + ".mean") =
-                    point.window64.mean[r];
-            }
-            for (const auto &[name, report] : point.schemes) {
-                registry.gauge("profile.scheme." + name +
-                               ".accuracy_pct") = report.accuracyPct();
-                registry.counter("profile.scheme." + name +
-                                 ".arpt_entries") = report.arptOccupancy;
-            }
-            point.snapshot = registry.snapshot();
+            RegionPoint point =
+                RegionPass(spec.schemes, hooks).run(source, w.studyInsts);
+            point.workload = w.name;
             prof.addGuestInsts(point.instructions);
             result.region[wi] = std::move(point);
         }
@@ -776,6 +714,80 @@ runSweep(const SweepSpec &spec)
     }
     result.wallSeconds = secondsSince(wall_start);
     return result;
+}
+
+RegionPass::RegionPass(const std::vector<SchemeSpec> &schemes,
+                       obs::Hooks &hooks,
+                       const predict::HintSource *hints)
+    : hooks(hooks)
+{
+    // The live profile.* mirror: formulas over the running totals.
+    obs::StatsRegistry &registry = hooks.registry;
+    registry.addFormula("profile.instructions", [this] {
+        return static_cast<double>(region.instructionCount());
+    });
+    registry.addFormula("profile.loads", [this] {
+        return static_cast<double>(region.dynamicLoads());
+    });
+    registry.addFormula("profile.stores", [this] {
+        return static_cast<double>(region.dynamicStores());
+    });
+    for (unsigned r = 0; r < vm::NumDataRegions; ++r) {
+        const std::string name = vm::regionName(static_cast<vm::Region>(r));
+        registry.addFormula("profile.refs." + name, [this, r] {
+            return static_cast<double>(region.refs(r));
+        });
+        registry.addFormula("profile.window32." + name + ".mean", [this, r] {
+            return win32.stats_summary().mean[r];
+        });
+        registry.addFormula("profile.window64." + name + ".mean", [this, r] {
+            return win64.stats_summary().mean[r];
+        });
+    }
+    predictors.reserve(schemes.size());
+    for (const SchemeSpec &scheme : schemes) {
+        predict::RegionPredictorConfig config = scheme.config;
+        config.useCompilerHints = hints != nullptr;
+        const predict::RegionPredictor &predictor =
+            predictors.emplace_back(config, hints);
+        names.push_back(scheme.name);
+        const std::string base = "profile.scheme." + scheme.name;
+        registry.addFormula(base + ".accuracy_pct", [&predictor] {
+            return predictor.report().accuracyPct();
+        });
+        registry.addFormula(base + ".arpt_entries", [&predictor] {
+            return static_cast<double>(predictor.report().arptOccupancy);
+        });
+    }
+    hooks.startSampling();
+}
+
+obs::TelemetryFrame
+RegionPass::frame(InstCount n) const
+{
+    return {.insts = n,
+            .loads = region.dynamicLoads(),
+            .stores = region.dynamicStores(),
+            .refsData = region.refs(0),
+            .refsHeap = region.refs(1),
+            .refsStack = region.refs(2)};
+}
+
+RegionPoint
+RegionPass::finish(InstCount n)
+{
+    hooks.finishSampling(n);
+    hooks.finishTelemetry(n, 0);
+    hooks.finalize();
+    RegionPoint point;
+    point.instructions = n;
+    point.profile = region.profile();
+    point.window32 = win32.stats_summary();
+    point.window64 = win64.stats_summary();
+    for (std::size_t i = 0; i < predictors.size(); ++i)
+        point.schemes.emplace_back(names[i], predictors[i].report());
+    point.snapshot = hooks.finalSnapshot;
+    return point;
 }
 
 obs::Report

@@ -37,9 +37,8 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/hooks.hh"
 #include "obs/report.hh"
-#include "obs/stats_registry.hh"
-#include "obs/telemetry.hh"
 #include "ooo/config.hh"
 #include "ooo/core.hh"
 #include "predict/region_predictor.hh"
@@ -211,10 +210,74 @@ struct RegionPoint
     profile::RegionProfile profile;
     profile::WindowStats window32;
     profile::WindowStats window64;
-    /** Per-scheme accuracy reports, in SweepSpec::schemes order. */
+    /** Per-scheme accuracy reports, in scheme-list order. */
     std::vector<std::pair<std::string, predict::PredictorReport>>
         schemes;
+    /** Frozen profile.* stats (the --stats-json record body). */
     obs::StatsRegistry::Snapshot snapshot;
+};
+
+/**
+ * The §3 profiling method as one pass: each step of a committed-
+ * instruction stream feeds the region profiler (Fig 2), the 32/64-
+ * instruction window profilers (Table 2) and one predictor per scheme
+ * (Fig 4).  The sweep's region jobs, Experiment::regionStudy and
+ * `arl_sim profile`/`replay` all run it, so they report one key set:
+ * profile.{instructions,loads,stores,refs.<region>},
+ * profile.window{32,64}.<region>.mean and
+ * profile.scheme.<name>.{accuracy_pct,arpt_entries}.
+ *
+ * The constructor registers those stats into hooks.registry, then
+ * calls hooks.startSampling() (interval rows when intervalEvery is
+ * set).  A telemetry job open on the hooks beats from the running
+ * counters; run() closes it and finalizes the hooks, whose registry
+ * points into the pass: read hooks.finalSnapshot afterwards.
+ */
+class RegionPass
+{
+  public:
+    /** @param hints consulted by every scheme when non-null. */
+    RegionPass(const std::vector<SchemeSpec> &schemes, obs::Hooks &hooks,
+               const predict::HintSource *hints = nullptr);
+    RegionPass(const RegionPass &) = delete;
+    RegionPass &operator=(const RegionPass &) = delete;
+
+    /**
+     * Feed up to @p max_insts steps of @p source (0 = all) and return
+     * the point (workload left to the caller).  A template, so
+     * ReplaySource/TraceReader/SimulatorSource calls stay non-virtual.
+     */
+    template <class Source>
+    RegionPoint
+    run(Source &source, InstCount max_insts)
+    {
+        // Compare against a local copy of the clock's threshold.
+        std::uint64_t next = hooks.clock.arm(0);
+        InstCount n = 0;
+        sim::StepInfo step;
+        while ((!max_insts || n < max_insts) && source.next(step)) {
+            region.observe(step);
+            win32.observe(step);
+            win64.observe(step);
+            for (predict::RegionPredictor &predictor : predictors)
+                predictor.observe(step);
+            if (++n >= next) [[unlikely]]
+                next = hooks.clock.beat(frame(n));
+        }
+        return finish(n);
+    }
+
+  private:
+    /** Heartbeat frame from the profiler's running counters. */
+    obs::TelemetryFrame frame(InstCount n) const;
+    RegionPoint finish(InstCount n);
+
+    obs::Hooks &hooks;
+    std::vector<std::string> names;
+    profile::RegionProfiler region;
+    profile::WindowProfiler win32{32};
+    profile::WindowProfiler win64{64};
+    std::vector<predict::RegionPredictor> predictors;
 };
 
 /** Merged sweep output plus engine-level metering. */
