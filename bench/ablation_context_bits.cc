@@ -60,8 +60,7 @@ main(int argc, char **argv)
 
     std::vector<double> sums(schemes.size(), 0.0);
     unsigned count = 0;
-    auto sweep_result = bench::regionGrid(
-        core::toSweepSchemes(schemes), scale, argc, argv);
+    auto sweep_result = bench::regionGrid(schemes, scale, argc, argv);
     for (const auto &point : sweep_result.region) {
         std::vector<std::string> row{point.workload};
         for (std::size_t i = 0; i < point.schemes.size(); ++i) {

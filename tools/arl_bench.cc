@@ -176,7 +176,7 @@ benchRegionFig4()
     sweep::SweepSpec spec;
     spec.jobs = 1;
     spec.workloads = {workload("li_like", 0, kStudyInsts)};
-    spec.schemes = core::toSweepSchemes(core::figure4Schemes());
+    spec.schemes = core::figure4Schemes();
     return sweepBench("region_fig4", spec);
 }
 
